@@ -7,7 +7,6 @@
 #include <queue>
 #include <sstream>
 
-#include "core/serve/serving_session.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/obs.hpp"
 #include "trace/features.hpp"
@@ -116,36 +115,12 @@ SharedRun shared_run(std::size_t n_jobs, std::size_t epochs,
   opts.predictor.preset = core::ModelPreset::kFast;
   opts.predictor.epochs = epochs;
   opts.predictor.predict_io = true;
-  // PRIONN_BENCH_SERVE=1 routes the replay through the concurrent
-  // serving subsystem (deterministic mode). The predictions — and so the
-  // on-disk cache — are bit-identical to the sequential trainer's; only
-  // the engine (micro-batched inference, encoding cache, shadow retrain)
-  // changes, which is exactly what lets fig08/fig11 validate the service.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded bench startup
-  const char* serve_env = std::getenv("PRIONN_BENCH_SERVE");
-  std::size_t training_events = 0;
-  if (serve_env && serve_env[0] == '1') {
-    core::serve::SessionOptions session_opts;
-    session_opts.service.predictor = opts.predictor;
-    session_opts.service.protocol = opts;
-    session_opts.mode = core::serve::ReplayMode::kDeterministic;
-    core::serve::ServingSession session(session_opts);
-    const auto result = session.replay(run.jobs);
-    run.predictions = result.nn_predictions();
-    training_events = result.training_events;
-    std::printf("[cache] engine: PredictionService (mean batch %.1f, "
-                "%llu cache hits)\n",
-                result.stats.mean_batch_size(),
-                static_cast<unsigned long long>(result.stats.cache_hits));
-  } else {
-    core::OnlineTrainer trainer(opts);
-    const auto result = trainer.run(run.jobs);
-    run.predictions = result.predictions;
-    training_events = result.training_events;
-  }
+  core::OnlineTrainer trainer(opts);
+  const auto result = trainer.run(run.jobs);
+  run.predictions = result.predictions;
   std::printf("[cache] phase-1 run complete in %.1fs (%zu training "
               "events)\n",
-              timer.seconds(), training_events);
+              timer.seconds(), result.training_events);
 
   fs::create_directories(cache_dir);
   trace::save_trace_file(trace_path.string(), run.jobs);

@@ -1,15 +1,16 @@
 // Serving subsystem gate. Two phases:
 //
 //   A. Correctness + throughput — replays the same trace through the
-//      sequential serving path (ResilientOnlineTrainer: fallback chain +
-//      snapshot + baseline refit per retrain, i.e. the same work the
-//      service does) and through the PredictionService twice:
-//      deterministic mode must be prediction-for-prediction AND
-//      provenance-for-provenance identical to the sequential replay
-//      (batching and the encoding cache may change the wall clock, never
-//      the arithmetic); concurrent mode — the service as deployed, with
-//      retraining overlapped behind serving — carries the throughput
-//      gate, since submissions there never wait for a training event.
+//      sequential OnlineTrainer and through the PredictionService twice:
+//      in deterministic mode the NN-served job set and every NN value
+//      must equal the sequential replay's exactly (batching and the
+//      encoding cache may change the wall clock, never the arithmetic);
+//      concurrent mode — the service as deployed, with retraining
+//      overlapped behind serving — carries the throughput gate, since
+//      submissions there never wait for a training event. OnlineTrainer
+//      does strictly less work per job than the service (no fallback
+//      chain, no snapshot, no baseline refit), so it is the strict
+//      sequential-rate baseline.
 //
 //   B. Tail latency under retrain — runs the service in concurrent mode
 //      and measures closed-loop submit latency while a background retrain
@@ -29,7 +30,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/resilient_online.hpp"
+#include "core/online.hpp"
 #include "core/serve/serving_session.hpp"
 #include "trace/workload.hpp"
 #include "util/stats.hpp"
@@ -85,13 +86,12 @@ int main(int argc, char** argv) {
   jobs.resize(std::min(jobs.size(), n_jobs));
 
   // --- Phase A: throughput, bit-identical replays --------------------
-  core::ResilientOptions resilient;
-  static_cast<core::OnlineProtocolOptions&>(resilient.online) =
-      bench_protocol();
-  resilient.online.predictor = bench_predictor(epochs);
+  core::OnlineOptions online;
+  static_cast<core::OnlineProtocolOptions&>(online) = bench_protocol();
+  online.predictor = bench_predictor(epochs);
 
   util::Timer sequential_timer;
-  const auto sequential = core::ResilientOnlineTrainer(resilient).run(jobs);
+  const auto sequential = core::OnlineTrainer(online).run(jobs);
   const double sequential_s = sequential_timer.seconds();
 
   serve::SessionOptions session_options;
@@ -102,16 +102,17 @@ int main(int argc, char** argv) {
   const auto served = session.replay(jobs);
   const double service_s = static_cast<double>(served.replay_ns) / 1e9;
 
-  // Bit-exact equivalence: value AND provenance must match the
-  // sequential serving path on every job.
+  // Bit-exact equivalence: the service's NN answers on exactly the jobs
+  // the sequential trainer predicted, with identical values.
   std::size_t mismatches = 0;
+  const auto served_nn = served.nn_predictions();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& seq = sequential.predictions[i];
-    const auto& svc = served.predictions[i];
-    if (!seq || seq->source != svc.source ||
-        seq->value.runtime_minutes != svc.value.runtime_minutes ||
-        seq->value.bytes_read != svc.value.bytes_read ||
-        seq->value.bytes_written != svc.value.bytes_written)
+    const auto& svc = served_nn[i];
+    if (seq.has_value() != svc.has_value() ||
+        (seq && (seq->runtime_minutes != svc->runtime_minutes ||
+                 seq->bytes_read != svc->bytes_read ||
+                 seq->bytes_written != svc->bytes_written)))
       ++mismatches;
   }
 
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   const double overlapped_rate =
       static_cast<double>(jobs.size()) / overlapped_s;
   std::printf("phase A: replay of %zu jobs\n", jobs.size());
-  std::printf("  sequential serving path   %7.2fs  %8.1f jobs/s  "
+  std::printf("  sequential OnlineTrainer  %7.2fs  %8.1f jobs/s  "
               "(%zu retrains)\n",
               sequential_s, sequential_rate, sequential.training_events);
   std::printf("  service, deterministic    %7.2fs  %8.1f jobs/s  "

@@ -1,9 +1,10 @@
-// Resilient serving demo: stream a synthetic job queue through the
-// hardened online protocol while the fault harness injects every failure
-// class at once — NaN-poisoned retrains, torn checkpoint writes, garbage
-// trace rows. The run must not abort: divergent retrains roll back,
-// damaged checkpoints fall back to the last-good generation, and every
-// job still receives a prediction with provenance.
+// Resilient serving demo: replay a synthetic job queue through a
+// deterministic ServingSession with checkpointing on, while the fault
+// harness injects every failure class at once — NaN-poisoned retrains,
+// torn checkpoint writes, garbage trace rows. The run must not abort:
+// divergent retrains are discarded while the last-good model keeps
+// serving, damaged checkpoints fall back to the last-good generation,
+// and every job still receives a prediction with provenance.
 //
 // The run is fully instrumented: it ends with a telemetry summary table
 // read back from the metrics registry and exports the whole telemetry
@@ -17,7 +18,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/resilient_online.hpp"
+#include "core/checkpoint.hpp"
+#include "core/serve/serving_session.hpp"
 #include "obs/obs.hpp"
 #include "trace/store.hpp"
 #include "trace/workload.hpp"
@@ -82,13 +84,14 @@ int main(int argc, char** argv) {
   std::filesystem::remove(checkpoint);
   std::filesystem::remove(checkpoint + ".last-good");
 
-  core::ResilientOptions options;
-  options.online.predictor.image.rows = 32;
-  options.online.predictor.image.cols = 32;
-  options.online.predictor.image.transform = core::Transform::kSimple;
-  options.online.predictor.epochs = 3;
-  options.online.predictor.runtime_bins = 96;
-  options.online.predictor.predict_io = false;
+  core::serve::SessionOptions options;
+  options.service.predictor.image.rows = 32;
+  options.service.predictor.image.cols = 32;
+  options.service.predictor.image.transform = core::Transform::kSimple;
+  options.service.predictor.epochs = 3;
+  options.service.predictor.runtime_bins = 96;
+  options.service.predictor.predict_io = false;
+  options.mode = core::serve::ReplayMode::kDeterministic;
   options.checkpoint_path = checkpoint;
 
   // Deterministic fault schedule: the 2nd retrain is NaN-poisoned, the
@@ -103,17 +106,20 @@ int main(int argc, char** argv) {
   std::printf("serving %zu submissions with faults armed (seed %llu)...\n",
               jobs.size(),
               static_cast<unsigned long long>(fault_seed));
-  core::ResilientOnlineTrainer trainer(options);
-  const auto result = trainer.run(jobs);
+  core::serve::ServingSession session(options);
+  const auto result = session.replay(jobs);
 
-  const auto counts = result.source_counts();
-  std::printf("\n%zu accepted training events, %zu rejected retrains "
-              "(%zu rollbacks)\n",
-              result.training_events, result.rejected_retrains,
-              result.rollbacks);
-  std::printf("provenance: %zu neural-net, %zu random-forest, %zu "
+  const auto& counts = result.stats.source_counts;
+  std::printf("\n%zu accepted training events, %llu rejected retrains "
+              "(discarded; the last-good model kept serving)\n",
+              result.training_events,
+              static_cast<unsigned long long>(
+                  result.stats.rejected_retrains));
+  std::printf("provenance: %llu neural-net, %llu random-forest, %llu "
               "requested-runtime\n",
-              counts[0], counts[1], counts[2]);
+              static_cast<unsigned long long>(counts[0]),
+              static_cast<unsigned long long>(counts[1]),
+              static_cast<unsigned long long>(counts[2]));
 
   std::vector<double> nn_acc;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -140,8 +146,8 @@ int main(int argc, char** argv) {
   if (!obs::kEnabled)
     std::printf("\n(telemetry compiled out: PRIONN_OBS=OFF — the summary "
                 "below reads as zeros)\n");
-  auto& predict_latency =
-      obs::registry().latency("prionn_predict_latency_ns");
+  auto& submit_latency =
+      obs::registry().latency("prionn_serve_submit_latency_ns");
   util::Table table({"telemetry", "value"});
   table.add_row({"predictions served",
                  count_of("prionn_predictions_total")});
@@ -161,10 +167,10 @@ int main(int argc, char** argv) {
                  count_of("prionn_trace_rows_total")});
   table.add_row({"trace rows quarantined",
                  count_of("prionn_quarantined_rows_total")});
-  table.add_row({"predict latency p50 (us)",
-                 util::fmt(predict_latency.quantile(0.5) / 1e3, 1)});
-  table.add_row({"predict latency p99 (us)",
-                 util::fmt(predict_latency.quantile(0.99) / 1e3, 1)});
+  table.add_row({"submit latency p50 (us)",
+                 util::fmt(submit_latency.quantile(0.5) / 1e3, 1)});
+  table.add_row({"submit latency p99 (us)",
+                 util::fmt(submit_latency.quantile(0.99) / 1e3, 1)});
   std::printf("\n%s", table.to_string().c_str());
 
   obs::export_telemetry_files("prionn_serving_telemetry");

@@ -15,8 +15,8 @@
 namespace prionn::core {
 
 /// The paper's §2.3 protocol parameters, shared by every consumer of the
-/// online cadence: OnlineTrainer, ResilientOnlineTrainer, and the
-/// concurrent serve::PredictionService. One definition, one validation.
+/// online cadence: OnlineTrainer and serve::PredictionService. One
+/// definition, one validation.
 struct OnlineProtocolOptions {
   std::size_t retrain_interval = 100;  // submissions between retrains
   std::size_t train_window = 500;      // most recent completions used

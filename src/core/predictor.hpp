@@ -90,7 +90,7 @@ class PrionnPredictor {
   void set_embedding(embed::CharEmbedding embedding);
 
   /// Final per-head training losses of one train() call, for divergence
-  /// monitoring by the resilient serving layer.
+  /// monitoring by the serving layer's guards.
   struct TrainReport {
     double runtime_loss = 0.0;
     double read_loss = 0.0;
@@ -102,8 +102,8 @@ class PrionnPredictor {
   /// are retrained rather than re-initialised). Throws
   /// nn::TrainingDiverged when the loss goes non-finite or the gradient
   /// norm guard trips; the weights touched so far may be partially
-  /// updated, so callers that need atomicity snapshot first
-  /// (core/resilient_online does).
+  /// updated, so callers that need atomicity train a snapshot copy
+  /// (serve::PredictionService trains a shadow model).
   TrainReport train(const std::vector<trace::JobRecord>& completed_jobs);
 
   bool trained() const noexcept { return trained_; }

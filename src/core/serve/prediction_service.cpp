@@ -159,9 +159,42 @@ bool PredictionService::retrain_now() {
   return run_retrain();
 }
 
+void PredictionService::restore(PrionnPredictor predictor) {
+  std::vector<trace::JobRecord> recent;
+  {
+    util::ScopedLock wl(window_mutex_);
+    trained_ = true;
+    embedding_ready_ = true;
+    const std::size_t window =
+        std::min(options_.protocol.train_window, window_.size());
+    recent.assign(window_.end() - static_cast<std::ptrdiff_t>(window),
+                  window_.end());
+  }
+  {
+    util::ScopedLock ml(model_mutex_);
+    live_ = std::make_unique<PrionnPredictor>(std::move(predictor));
+  }
+  cache_epoch_.fetch_add(1, std::memory_order_release);
+  // The baseline is not checkpointed: it refits from the window the
+  // checkpointed training event used, reproducing its answers.
+  util::ScopedLock fl(fallback_mutex_);
+  fallback_.fit_baseline(recent);
+}
+
+void PredictionService::write_checkpoint(
+    const std::string& path, const OnlineCheckpointState& state) const {
+  util::ScopedLock ml(model_mutex_);
+  write_checkpoint_file(path, *live_, state);
+}
+
 std::size_t PredictionService::training_events() const {
   util::ScopedLock wl(window_mutex_);
   return training_events_;
+}
+
+bool PredictionService::trained() const {
+  util::ScopedLock wl(window_mutex_);
+  return trained_;
 }
 
 ServiceStats PredictionService::stats() const {
@@ -190,9 +223,9 @@ ServiceStats PredictionService::stats() const {
 
 bool PredictionService::retrain_due() const {
   if (window_.empty()) return false;
-  if (training_events_ == 0) {
+  if (!trained_) {
     // A rejected first attempt also waits out a full interval before the
-    // retry (same gating as ResilientOnlineTrainer).
+    // retry.
     return total_completions_ >= options_.protocol.min_initial_completions &&
            (rejected_retrains_ == 0 ||
             submissions_since_train_ >= options_.protocol.retrain_interval);
@@ -423,8 +456,7 @@ bool PredictionService::run_retrain(bool claimed) {
       PrionnPredictor::load(snap_in));
   snapshot.clear();
 
-  // Guards, as in ResilientOnlineTrainer: hold back a validation batch
-  // when the accuracy floor is on.
+  // Guards: hold back a validation batch when the accuracy floor is on.
   std::vector<trace::JobRecord> train_set = recent;
   std::vector<trace::JobRecord> holdback;
   if (options_.min_holdback_accuracy > 0.0 &&
@@ -517,6 +549,7 @@ bool PredictionService::run_retrain(bool claimed) {
     util::ScopedLock wl(window_mutex_);
     if (accepted) {
       ++training_events_;
+      trained_ = true;
       consecutive_rejections_ = 0;
       if (fit_embedding) embedding_ready_ = true;
     } else {

@@ -19,7 +19,7 @@
 //     window (seconds) with no lock held, and publishes it with a
 //     pointer swap. A retrain that diverges or fails the holdback-
 //     accuracy guard is discarded — the live model IS the last-good
-//     snapshot, so rollback is free (semantics from core/resilient_online).
+//     snapshot, so rollback is free.
 //   - Encoding cache: the script->image mapping is memoised per script
 //     (serve/encoding_cache.hpp); repeat submissions skip the data-
 //     mapping stage. Model swaps invalidate nothing; only an embedding
@@ -40,9 +40,11 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/fallback.hpp"
 #include "core/online.hpp"
 #include "core/predictor.hpp"
@@ -66,7 +68,7 @@ struct BatchingOptions {
 
 struct ServiceOptions {
   PredictorOptions predictor;
-  /// Shared §2.3 cadence parameters (same struct the replay trainers use).
+  /// Shared §2.3 cadence parameters (same struct OnlineTrainer uses).
   OnlineProtocolOptions protocol;
   FallbackOptions fallback;
   BatchingOptions batching;
@@ -77,11 +79,11 @@ struct ServiceOptions {
   /// true: a background thread retrains whenever the protocol cadence is
   /// due. false: the owner drives training explicitly via retrain_now()
   /// — the deterministic replay mode (ServingSession) uses this to stay
-  /// prediction-for-prediction identical to the sequential trainers.
+  /// prediction-for-prediction identical to OnlineTrainer.
   bool background_retrain = true;
 
-  /// Divergence guards, as in ResilientOptions: a retrain whose losses
-  /// go non-finite, throws nn::TrainingDiverged, or scores below
+  /// Divergence guards: a retrain whose losses go non-finite, throws
+  /// nn::TrainingDiverged, or scores below
   /// `min_holdback_accuracy` on a held-back batch is rejected and the
   /// live model keeps serving (0 disables the holdback check).
   double min_holdback_accuracy = 0.0;
@@ -150,9 +152,22 @@ class PredictionService {
   /// or the guards rejected it.
   bool retrain_now();
 
-  /// Accepted training events so far.
+  /// Install a predictor resumed from a checkpoint as the live model:
+  /// marks the embedding fitted, drops cached encodings, and refits the
+  /// fallback baseline on the current completion window. Call before
+  /// serving; trained() is true afterwards.
+  void restore(PrionnPredictor predictor);
+
+  /// Durable checkpoint of the live model plus the caller's replay
+  /// cursor (core/checkpoint.hpp's write_checkpoint_file).
+  void write_checkpoint(const std::string& path,
+                        const OnlineCheckpointState& state) const;
+
+  /// Accepted training events of this service (a restored model does
+  /// not count).
   std::size_t training_events() const;
-  bool trained() const { return training_events() > 0; }
+  /// True once a model is live: accepted by a retrain or restored.
+  bool trained() const;
 
   /// True while a retrain (background or retrain_now) is running — the
   /// serving-latency benches use this to classify submissions.
@@ -211,6 +226,7 @@ class PredictionService {
   std::size_t training_events_ PRIONN_GUARDED_BY(window_mutex_) = 0;
   std::size_t rejected_retrains_ PRIONN_GUARDED_BY(window_mutex_) = 0;
   std::size_t consecutive_rejections_ PRIONN_GUARDED_BY(window_mutex_) = 0;
+  bool trained_ PRIONN_GUARDED_BY(window_mutex_) = false;
   bool embedding_ready_ PRIONN_GUARDED_BY(window_mutex_) = false;
   bool retrain_requested_ PRIONN_GUARDED_BY(window_mutex_) = false;
   bool trainer_busy_ PRIONN_GUARDED_BY(window_mutex_) = false;

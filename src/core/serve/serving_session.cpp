@@ -1,9 +1,13 @@
 #include "core/serve/serving_session.hpp"
 
+#include <algorithm>
+#include <array>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "util/fault.hpp"
 #include "util/timer.hpp"
 
 namespace prionn::core::serve {
@@ -12,13 +16,18 @@ std::vector<std::optional<JobPrediction>> SessionResult::nn_predictions()
     const {
   std::vector<std::optional<JobPrediction>> out(predictions.size());
   for (std::size_t i = 0; i < predictions.size(); ++i)
-    if (predictions[i].source == PredictionSource::kNeuralNet)
-      out[i] = predictions[i].value;
+    if (predictions[i] &&
+        predictions[i]->source == PredictionSource::kNeuralNet)
+      out[i] = predictions[i]->value;
   return out;
 }
 
 ServingSession::ServingSession(SessionOptions options)
     : options_(std::move(options)) {
+  if (options_.mode == ReplayMode::kConcurrent &&
+      !options_.checkpoint_path.empty())
+    throw std::invalid_argument(
+        "ServingSession: checkpointing needs deterministic mode");
   // The mode owns the retrain policy: deterministic replay drives
   // training itself, concurrent replay delegates to the service.
   options_.service.background_retrain =
@@ -31,9 +40,8 @@ SessionResult ServingSession::replay(
   PRIONN_OBS_SPAN("serve.replay");
   const std::uint64_t t0 = util::Timer::now_ns();
   SessionResult result;
-
-  std::vector<std::future<ProvenancedPrediction>> futures;
-  futures.reserve(jobs.size());
+  result.predictions.assign(jobs.size(), std::nullopt);
+  std::vector<std::future<ProvenancedPrediction>> futures(jobs.size());
 
   // Same completion model as OnlineTrainer: a min-heap on end_time feeds
   // the training window as the submission clock advances, so the service
@@ -44,30 +52,80 @@ SessionResult ServingSession::replay(
   std::priority_queue<std::size_t, std::vector<std::size_t>,
                       decltype(later_end)>
       in_flight(later_end);
-
-  const bool deterministic = options_.mode == ReplayMode::kDeterministic;
-  const OnlineProtocolOptions& protocol = options_.service.protocol;
   std::size_t completed = 0;
-  std::size_t submissions_since_train = 0;
-  std::size_t rejected_attempts = 0;
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& job = jobs[i];
+  const auto drain_until = [&](double submit_time) {
     while (!in_flight.empty() &&
-           jobs[in_flight.top()].end_time <= job.submit_time) {
+           jobs[in_flight.top()].end_time <= submit_time) {
       service_->complete(jobs[in_flight.top()]);
       in_flight.pop();
       ++completed;
     }
+  };
+
+  std::size_t start = 0;
+  std::size_t submissions_since_train = 0;
+  if (!options_.checkpoint_path.empty()) {
+    auto resumed = resume_checkpoint(options_.checkpoint_path);
+    result.resume_source = resumed.source;
+    result.resume_error = std::move(resumed.primary_error);
+    if (resumed.checkpoint) {
+      const auto& st = resumed.checkpoint->state;
+      start = std::min<std::size_t>(
+          static_cast<std::size_t>(st.next_index), jobs.size());
+      submissions_since_train =
+          static_cast<std::size_t>(st.submissions_since_train);
+      // Replay the completion bookkeeping of everything the previous
+      // incarnation processed (no model work), up to the window the
+      // checkpointed training event saw, then install its model.
+      for (std::size_t i = 0; i < start; ++i) {
+        drain_until(jobs[i].submit_time);
+        in_flight.push(i);
+      }
+      if (start < jobs.size()) drain_until(jobs[start].submit_time);
+      service_->restore(std::move(resumed.checkpoint->predictor));
+    }
+  }
+  result.resume_index = start;
+
+  // Telemetry: one WindowEvent per prediction window (the submissions
+  // between deterministic retrain boundaries; the whole replay in
+  // concurrent mode), so the event log reconstructs the serving history.
+  std::uint64_t retrain_attempts = 0;
+  std::uint64_t checkpoint_generation = 0;
+  std::size_t window_first = start;
+  const auto close_window = [&](std::size_t end) {
+    obs::WindowEvent w;
+    w.window_id = retrain_attempts;
+    w.first_job_index = window_first;
+    w.checkpoint_generation = checkpoint_generation;
+    std::array<std::size_t, 3> sources{};
+    for (std::size_t k = window_first; k < end; ++k) {
+      result.predictions[k] = futures[k].get();
+      ++sources[static_cast<std::size_t>(result.predictions[k]->source)];
+    }
+    w.predictions = end - window_first;
+    w.from_neural_net = sources[0];
+    w.from_random_forest = sources[1];
+    w.from_requested = sources[2];
+    if (w.predictions > 0) obs::emit(w);
+    window_first = end;
+  };
+
+  const bool deterministic = options_.mode == ReplayMode::kDeterministic;
+  const OnlineProtocolOptions& protocol = options_.service.protocol;
+  std::size_t rejected_attempts = 0;
+  std::size_t end = jobs.size();
+
+  for (std::size_t i = start; i < jobs.size(); ++i) {
+    drain_until(jobs[i].submit_time);
 
     if (deterministic) {
-      // OnlineTrainer's cadence, verbatim (plus ResilientOnlineTrainer's
-      // full-interval backoff after a guard-rejected attempt): retrain at
-      // exactly these submissions, with a flush() barrier first so every
-      // outstanding request is served by the pre-retrain model.
-      const bool trained = service_->trained();
+      // OnlineTrainer's cadence, verbatim (plus a full-interval backoff
+      // after a guard-rejected first attempt): retrain at exactly these
+      // submissions, with a flush() barrier first so every outstanding
+      // request is served by the pre-retrain model.
       bool due;
-      if (!trained) {
+      if (!service_->trained()) {
         due = completed >= protocol.min_initial_completions &&
               (rejected_attempts == 0 ||
                submissions_since_train >= protocol.retrain_interval);
@@ -76,19 +134,34 @@ SessionResult ServingSession::replay(
       }
       if (due && completed > 0 && !service_->stats().nn_benched) {
         service_->flush();
-        if (!service_->retrain_now()) ++rejected_attempts;
+        close_window(i);
+        ++retrain_attempts;
         submissions_since_train = 0;
+        if (!service_->retrain_now()) {
+          ++rejected_attempts;
+        } else if (!options_.checkpoint_path.empty()) {
+          // A retrain was just accepted, so the embedding is fitted.
+          OnlineCheckpointState st;
+          st.next_index = i;
+          st.embedding_ready = true;
+          service_->write_checkpoint(options_.checkpoint_path, st);
+          ++checkpoint_generation;
+          if (util::fault::fire(util::fault::FaultPoint::kCrash)) {
+            result.crashed = true;
+            result.crash_index = end = i;
+            break;
+          }
+        }
       }
     }
 
-    futures.push_back(service_->submit(job));
+    futures[i] = service_->submit(jobs[i]);
     ++submissions_since_train;
     in_flight.push(i);
   }
 
   service_->flush();
-  result.predictions.reserve(futures.size());
-  for (auto& f : futures) result.predictions.push_back(f.get());
+  close_window(end);
   result.training_events = service_->training_events();
   result.stats = service_->stats();
   result.replay_ns = util::Timer::now_ns() - t0;

@@ -40,8 +40,8 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
   // production and before any parameter update, instead of letting NaN
   // gradients silently poison the parameters and every later prediction.
   // Divergence is a recoverable data/environment fault (a poisoned batch,
-  // a runaway retrain), so it throws rather than aborting; the resilient
-  // serving layer rolls back to the last good snapshot.
+  // a runaway retrain), so it throws rather than aborting; the serving
+  // layer discards the diverged model and keeps the last good one.
   if (!std::isfinite(result.value))
     throw TrainingDiverged("softmax_cross_entropy: loss diverged over " +
                            std::to_string(batch) + " samples");

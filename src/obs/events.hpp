@@ -31,7 +31,7 @@ struct RetrainEvent {
   std::vector<double> loss;        // per-head final losses (runtime, read, write)
   double holdback_accuracy = -1.0; // -1 when the guard did not run
   bool accepted = false;
-  bool rollback = false;           // snapshot restore performed
+  bool rollback = false;           // rejected model discarded
   bool benched = false;            // rejection limit hit at this event
   std::uint64_t checkpoint_generation = 0;  // durable writes so far
   double duration_ms = 0.0;

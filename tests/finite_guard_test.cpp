@@ -2,8 +2,8 @@
 // batches (all-zero, huge-magnitude, NaN-poisoned) must either train to a
 // finite loss or throw nn::TrainingDiverged at the loss — NaN must never
 // propagate into predictions. Divergence is a *recoverable* fault (the
-// resilient serving layer rolls back to the last good snapshot), which is
-// why these are exception tests rather than death tests.
+// serving layer discards the diverged model and keeps the last good
+// one), which is why these are exception tests rather than death tests.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -4,11 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -142,113 +143,6 @@ TEST(GradCheck, MaxPool1d) {
 TEST(GradCheck, FlattenLayer) {
   nn::Flatten layer;
   check_gradients(layer, random_tensor({3, 2, 4}, 14), 1e-2);
-}
-
-// ----------------------------------------------------------- batchnorm ---
-
-TEST(BatchNorm, NormalisesTrainingBatch) {
-  nn::BatchNorm layer(2);
-  prionn::util::Rng rng(50);
-  Tensor x({64, 2});
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = static_cast<float>(rng.normal(5.0, 3.0));
-  const Tensor y = layer.forward(x, /*training=*/true);
-  // With gamma=1, beta=0 the output is standardised per channel.
-  for (std::size_t c = 0; c < 2; ++c) {
-    double mean = 0.0, var = 0.0;
-    for (std::size_t n = 0; n < 64; ++n) mean += y.at(n, c);
-    mean /= 64.0;
-    for (std::size_t n = 0; n < 64; ++n) {
-      const double d = y.at(n, c) - mean;
-      var += d * d;
-    }
-    var /= 64.0;
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(var, 1.0, 1e-2);
-  }
-}
-
-TEST(BatchNorm, InferenceUsesRunningStatistics) {
-  nn::BatchNorm layer(1, /*momentum=*/0.0);  // adopt batch stats at once
-  Tensor x({4, 1}, std::vector<float>{2.0f, 4.0f, 6.0f, 8.0f});
-  layer.forward(x, /*training=*/true);
-  EXPECT_NEAR(layer.running_mean()[0], 5.0f, 1e-5f);
-  // A constant inference input shifted by the running mean maps near 0.
-  Tensor probe({1, 1}, std::vector<float>{5.0f});
-  const Tensor out = layer.forward(probe, /*training=*/false);
-  EXPECT_NEAR(out[0], 0.0f, 1e-3f);
-}
-
-TEST(BatchNorm, GradCheckThroughNormalisation) {
-  // BatchNorm's training and inference paths differ (batch vs running
-  // statistics), so the generic helper does not apply: check against the
-  // training-mode objective explicitly.
-  nn::BatchNorm layer(3);
-  Tensor input = random_tensor({6, 3}, 51);
-  const auto objective_training = [&](const Tensor& x) {
-    const Tensor out = layer.forward(x, /*training=*/true);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < out.size(); ++i)
-      acc += 0.5 * static_cast<double>(out[i]) * out[i];
-    return acc;
-  };
-  layer.zero_gradients();
-  const Tensor out = layer.forward(input, /*training=*/true);
-  const Tensor grad_in = layer.backward(out);
-
-  constexpr float kEps = 1e-2f;
-  for (std::size_t i = 0; i < input.size(); i += 3) {
-    const float saved = input[i];
-    input[i] = saved + kEps;
-    const double up = objective_training(input);
-    input[i] = saved - kEps;
-    const double down = objective_training(input);
-    input[i] = saved;
-    EXPECT_NEAR(grad_in[i], (up - down) / (2.0 * kEps), 3e-2)
-        << "input gradient at " << i;
-  }
-  const auto params = layer.parameters();
-  const auto grads = layer.gradients();
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    Tensor& w = *params[p];
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      const float saved = w[i];
-      w[i] = saved + kEps;
-      const double up = objective_training(input);
-      w[i] = saved - kEps;
-      const double down = objective_training(input);
-      w[i] = saved;
-      EXPECT_NEAR((*grads[p])[i], (up - down) / (2.0 * kEps), 3e-2)
-          << "param " << p << " gradient at " << i;
-    }
-  }
-}
-
-TEST(BatchNorm, ConvolutionalShapeSupported) {
-  nn::BatchNorm layer(4);
-  const Tensor x = random_tensor({2, 4, 5, 5}, 52);
-  const Tensor y = layer.forward(x, true);
-  EXPECT_EQ(y.shape(), x.shape());
-  const Tensor gx = layer.backward(y);
-  EXPECT_EQ(gx.shape(), x.shape());
-}
-
-TEST(BatchNorm, SaveLoadRoundTrip) {
-  nn::BatchNorm layer(2, 0.5);
-  layer.forward(random_tensor({8, 2}, 53), true);  // populate running stats
-  std::stringstream ss;
-  layer.save(ss);
-  auto loaded = nn::BatchNorm::load(ss);
-  const Tensor probe = random_tensor({3, 2}, 54);
-  nn::BatchNorm& typed = static_cast<nn::BatchNorm&>(*loaded);
-  const Tensor a = layer.forward(probe, false);
-  const Tensor b = typed.forward(probe, false);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-}
-
-TEST(BatchNorm, RejectsInvalidConfig) {
-  EXPECT_THROW(nn::BatchNorm(0), std::invalid_argument);
-  EXPECT_THROW(nn::BatchNorm(2, 1.0), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- shapes ---
@@ -565,6 +459,27 @@ TEST(Network, LoadRejectsBadMagic) {
   EXPECT_THROW(nn::Network::load(ss), std::runtime_error);
 }
 
+TEST(Network, LoadRejectsUnknownLayerKind) {
+  // A well-formed frame whose one layer tag names a kind the loader
+  // table does not have (batch normalisation is not part of the model zoo).
+  std::stringstream ss;
+  const std::uint32_t magic = 0x50524e4e, depth = 1;
+  const std::string kind = "batchnorm";
+  const auto len = static_cast<std::uint32_t>(kind.size());
+  ss.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  ss.write(reinterpret_cast<const char*>(&depth), sizeof(depth));
+  ss.write(reinterpret_cast<const char*>(&len), sizeof(len));
+  ss.write(kind.data(), static_cast<std::streamsize>(kind.size()));
+  try {
+    nn::load_network(ss);
+    FAIL() << "load_network accepted a batchnorm layer";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown layer kind 'batchnorm'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Network, Conv1dNetworkTrains) {
   // Signal classification: class 1 if the mean of the signal is positive.
   prionn::util::Rng rng(42);
@@ -617,23 +532,6 @@ TEST(Network, EarlyStoppingHaltsOnPlateau) {
   const auto report = net.fit(x, y, opt, fit);
   EXPECT_LT(report.epoch_loss.size(), 50u);
   EXPECT_GE(report.epoch_loss.size(), 3u);
-}
-
-TEST(Network, BatchNormNetworkTrains) {
-  Tensor x;
-  std::vector<std::uint32_t> y;
-  make_xor_data(x, y, 256, 49);
-  prionn::util::Rng rng(55);
-  nn::Network net;
-  net.emplace<nn::Dense>(2, 16, rng);
-  net.emplace<nn::BatchNorm>(16);
-  net.emplace<nn::Tanh>();
-  net.emplace<nn::Dense>(16, 2, rng);
-  nn::Adam opt(0.01);
-  nn::FitOptions fit;
-  fit.epochs = 60;
-  net.fit(x, y, opt, fit);
-  EXPECT_GT(net.accuracy(x, y), 0.85);
 }
 
 TEST(Network, GradientClippingBounds) {

@@ -2,8 +2,10 @@
 // harness, the checkpoint frame (round trip + rejection of truncated /
 // bit-flipped / wrong-version streams, last-good fallback), predictor
 // snapshot bit-exactness, divergence rollback, graceful degradation
-// provenance, input quarantine, kill/resume equivalence, and the
-// end-to-end acceptance scenario with every fault class armed at once.
+// provenance, input quarantine, and — through a deterministic
+// ServingSession with a checkpoint path — rejected-retrain rollback,
+// kill/resume equivalence, NN benching, and the end-to-end acceptance
+// scenario with every fault class armed at once.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +19,7 @@
 #include "core/checkpoint.hpp"
 #include "core/fallback.hpp"
 #include "core/predictor.hpp"
-#include "core/resilient_online.hpp"
+#include "core/serve/serving_session.hpp"
 #include "nn/loss.hpp"
 #include "trace/store.hpp"
 #include "trace/swf.hpp"
@@ -26,6 +28,7 @@
 #include "util/fault.hpp"
 
 namespace core = prionn::core;
+namespace serve = prionn::core::serve;
 namespace tr = prionn::trace;
 namespace fault = prionn::util::fault;
 namespace fs = std::filesystem;
@@ -458,16 +461,18 @@ TEST(Quarantine, TraceStoreResyncsOnDamagedRecord) {
 
 // --------------------------------------------- resilient online loop ---
 
-core::ResilientOptions tiny_resilient_options(const std::string& path) {
-  core::ResilientOptions o;
-  o.online.predictor = tiny_predictor_options();
-  o.online.predictor.epochs = 1;
-  o.online.predictor.predict_io = false;
-  o.online.retrain_interval = 40;
-  o.online.train_window = 80;
-  o.online.min_initial_completions = 40;
-  o.fallback.min_confidence = 0.35;  // let some predictions fall to the RF
-  o.fallback.forest.trees = 10;
+serve::SessionOptions tiny_session_options(const std::string& path) {
+  serve::SessionOptions o;
+  o.service.predictor = tiny_predictor_options();
+  o.service.predictor.epochs = 1;
+  o.service.predictor.predict_io = false;
+  o.service.protocol.retrain_interval = 40;
+  o.service.protocol.train_window = 80;
+  o.service.protocol.min_initial_completions = 40;
+  // Let some predictions fall to the RF.
+  o.service.fallback.min_confidence = 0.35;
+  o.service.fallback.forest.trees = 10;
+  o.mode = serve::ReplayMode::kDeterministic;
   o.checkpoint_path = path;
   return o;
 }
@@ -481,12 +486,12 @@ TEST(ResilientOnline, PoisonedRetrainRollsBackAndServingContinues) {
   plan.point(fault::FaultPoint::kNanPoisonBatch).fire_at = {2};
   fault::ScopedFaultPlan armed(plan);
 
-  core::ResilientOnlineTrainer trainer(tiny_resilient_options(path.str()));
-  const auto result = trainer.run(jobs);
+  serve::ServingSession session(tiny_session_options(path.str()));
+  const auto result = session.replay(jobs);
 
-  EXPECT_EQ(result.rejected_retrains, 1u);
-  EXPECT_EQ(result.rollbacks, 1u);
-  EXPECT_FALSE(result.nn_benched);
+  // A rejected retrain discards the shadow copy: that is the rollback.
+  EXPECT_EQ(result.stats.rejected_retrains, 1u);
+  EXPECT_FALSE(result.stats.nn_benched);
   EXPECT_GE(result.training_events, 2u);
   for (const auto& p : result.predictions) {
     ASSERT_TRUE(p.has_value());
@@ -499,22 +504,21 @@ TEST(ResilientOnline, KillAndResumeMatchesUninterruptedRun) {
   const auto jobs = tiny_jobs(220);
 
   CheckpointPath clean_path("prionn_test_clean.ckpt");
-  core::ResilientOnlineTrainer clean(
-      tiny_resilient_options(clean_path.str()));
-  const auto uninterrupted = clean.run(jobs);
+  serve::ServingSession clean(tiny_session_options(clean_path.str()));
+  const auto uninterrupted = clean.replay(jobs);
   ASSERT_FALSE(uninterrupted.crashed);
   ASSERT_GE(uninterrupted.training_events, 3u);
 
   CheckpointPath crash_path("prionn_test_crash.ckpt");
-  const auto options = tiny_resilient_options(crash_path.str());
+  const auto options = tiny_session_options(crash_path.str());
   std::size_t crash_index = 0;
   {
     fault::FaultPlan plan;
     plan.seed = 23;
     plan.point(fault::FaultPoint::kCrash).fire_at = {2};
     fault::ScopedFaultPlan armed(plan);
-    core::ResilientOnlineTrainer doomed(options);
-    const auto before_crash = doomed.run(jobs);
+    serve::ServingSession doomed(options);
+    const auto before_crash = doomed.replay(jobs);
     ASSERT_TRUE(before_crash.crashed);
     crash_index = before_crash.crash_index;
     ASSERT_GT(crash_index, 0u);
@@ -528,11 +532,12 @@ TEST(ResilientOnline, KillAndResumeMatchesUninterruptedRun) {
 
   // A fresh process resumes from the checkpoint: every surviving
   // prediction must match the uninterrupted run bit for bit.
-  core::ResilientOnlineTrainer revived(options);
-  const auto resumed = revived.run(jobs);
+  serve::ServingSession revived(options);
+  const auto resumed = revived.replay(jobs);
   EXPECT_EQ(resumed.resume_source, core::CheckpointSource::kPrimary);
   EXPECT_EQ(resumed.resume_index, crash_index);
   ASSERT_FALSE(resumed.crashed);
+  EXPECT_TRUE(revived.service().trained());
   for (std::size_t i = 0; i < crash_index; ++i)
     EXPECT_FALSE(resumed.predictions[i].has_value());
   for (std::size_t i = crash_index; i < jobs.size(); ++i) {
@@ -551,17 +556,16 @@ TEST(ResilientOnline, RepeatedRejectionsBenchTheNn) {
   CheckpointPath path("prionn_test_bench.ckpt");
   const auto jobs = tiny_jobs(220);
 
-  auto options = tiny_resilient_options(path.str());
-  options.online.predictor.max_gradient_norm = 1e-12;  // every train fails
-  options.max_consecutive_rejections = 2;
-  core::ResilientOnlineTrainer trainer(options);
-  const auto result = trainer.run(jobs);
+  auto options = tiny_session_options(path.str());
+  options.service.predictor.max_gradient_norm = 1e-12;  // every train fails
+  options.service.max_consecutive_rejections = 2;
+  serve::ServingSession session(options);
+  const auto result = session.replay(jobs);
 
-  EXPECT_TRUE(result.nn_benched);
+  EXPECT_TRUE(result.stats.nn_benched);
   EXPECT_EQ(result.training_events, 0u);
-  EXPECT_EQ(result.rejected_retrains, 2u);
-  const auto counts = result.source_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(
+  EXPECT_EQ(result.stats.rejected_retrains, 2u);
+  EXPECT_EQ(result.stats.source_counts[static_cast<std::size_t>(
                 core::PredictionSource::kNeuralNet)],
             0u);
   // Serving never stopped: everything fell through to the last resort.
@@ -570,16 +574,16 @@ TEST(ResilientOnline, RepeatedRejectionsBenchTheNn) {
 
 // ------------------------------------------------- e2e acceptance ---
 
-// The ISSUE's acceptance scenario: checkpoint truncation + one
-// NaN-poisoned retrain + 5% garbage SWF rows, one seed, end to end. The
-// run must complete without aborting, every job gets a prediction with
+// The acceptance scenario: checkpoint truncation + one NaN-poisoned
+// retrain + 5% garbage SWF rows, one seed, end to end. The run must
+// complete without aborting, every job gets a prediction with
 // provenance, and the same seed reproduces the same fault schedule.
 TEST(ResilienceAcceptance, EndToEndFaultSoup) {
   std::ostringstream swf_os;
   tr::save_swf(swf_os, tiny_jobs(260));
   const std::string swf_text = std::move(swf_os).str();
 
-  const auto serve = [&](const std::string& checkpoint) {
+  const auto run = [&](const std::string& checkpoint) {
     fault::FaultPlan plan;
     plan.seed = 77;
     plan.point(fault::FaultPoint::kIngestGarbage).probability = 0.05;
@@ -595,22 +599,21 @@ TEST(ResilienceAcceptance, EndToEndFaultSoup) {
     EXPECT_GT(report.quarantined(), 0u);
     EXPECT_LE(report.fraction(), 0.2);
 
-    core::ResilientOnlineTrainer trainer(
-        tiny_resilient_options(checkpoint));
-    auto result = trainer.run(jobs);
+    serve::ServingSession session(tiny_session_options(checkpoint));
+    auto result = session.replay(jobs);
     return std::pair(std::move(result), report.quarantined());
   };
 
   CheckpointPath path_a("prionn_test_e2e_a.ckpt");
-  const auto [result, quarantined] = serve(path_a.str());
+  const auto [result, quarantined] = run(path_a.str());
 
-  EXPECT_EQ(result.rejected_retrains, 1u);
+  EXPECT_EQ(result.stats.rejected_retrains, 1u);
   EXPECT_GE(result.training_events, 2u);
   for (const auto& p : result.predictions) {
     ASSERT_TRUE(p.has_value());
     EXPECT_TRUE(std::isfinite(p->value.runtime_minutes));
   }
-  const auto counts = result.source_counts();
+  const auto& counts = result.stats.source_counts;
   EXPECT_EQ(counts[0] + counts[1] + counts[2], result.predictions.size());
   // The torn first checkpoint means a restart resumes from last-good.
   const auto restart = core::resume_checkpoint(path_a.str());
@@ -618,9 +621,9 @@ TEST(ResilienceAcceptance, EndToEndFaultSoup) {
 
   // Same seed, fresh run: identical fault schedule, identical outcome.
   CheckpointPath path_b("prionn_test_e2e_b.ckpt");
-  const auto [replay, requarantined] = serve(path_b.str());
+  const auto [replay, requarantined] = run(path_b.str());
   EXPECT_EQ(requarantined, quarantined);
-  EXPECT_EQ(replay.rejected_retrains, result.rejected_retrains);
+  EXPECT_EQ(replay.stats.rejected_retrains, result.stats.rejected_retrains);
   EXPECT_EQ(replay.training_events, result.training_events);
   ASSERT_EQ(replay.predictions.size(), result.predictions.size());
   for (std::size_t i = 0; i < result.predictions.size(); ++i) {

@@ -206,11 +206,12 @@ TEST(ServingSession, EncodingCacheDoesNotChangePredictions) {
   EXPECT_EQ(b.stats.cache_hits, 0u);
   ASSERT_EQ(a.predictions.size(), b.predictions.size());
   for (std::size_t i = 0; i < a.predictions.size(); ++i) {
-    EXPECT_EQ(a.predictions[i].source, b.predictions[i].source);
-    EXPECT_EQ(a.predictions[i].value.runtime_minutes,
-              b.predictions[i].value.runtime_minutes);
-    EXPECT_EQ(a.predictions[i].value.bytes_read,
-              b.predictions[i].value.bytes_read);
+    ASSERT_TRUE(a.predictions[i] && b.predictions[i]) << "job " << i;
+    EXPECT_EQ(a.predictions[i]->source, b.predictions[i]->source);
+    EXPECT_EQ(a.predictions[i]->value.runtime_minutes,
+              b.predictions[i]->value.runtime_minutes);
+    EXPECT_EQ(a.predictions[i]->value.bytes_read,
+              b.predictions[i]->value.bytes_read);
   }
 }
 
@@ -329,9 +330,19 @@ TEST(ServingSession, ConcurrentReplayServesEveryJob) {
   const auto result = session.replay(jobs);
 
   ASSERT_EQ(result.predictions.size(), jobs.size());
-  for (const auto& p : result.predictions)
-    EXPECT_GE(p.value.runtime_minutes, 1.0);
+  for (const auto& p : result.predictions) {
+    ASSERT_TRUE(p.has_value());
+    EXPECT_GE(p->value.runtime_minutes, 1.0);
+  }
   EXPECT_EQ(result.stats.served, result.stats.submitted);
+}
+
+TEST(ServingSession, CheckpointingNeedsDeterministicMode) {
+  serve::SessionOptions options;
+  options.service = tiny_service();
+  options.mode = serve::ReplayMode::kConcurrent;
+  options.checkpoint_path = "unused.ckpt";
+  EXPECT_THROW(serve::ServingSession{options}, std::invalid_argument);
 }
 
 // ----------------------------------------------- satellite: timings -------

@@ -22,6 +22,7 @@ suppressions="$repo_root/tools/sanitizer-suppressions.txt"
 # (plus its ctest discovery stub) exists.
 serve_tests='EncodingCache|ServeOptions|OnlineProtocol|Serving'
 serve_tests+='|PredictionService|OnlineResult|BatchedPrediction'
+serve_tests+='|ResilientOnline|ResilienceAcceptance'
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
   stages=(format tidy release obs-off address undefined thread tsa serve
@@ -115,16 +116,18 @@ for stage in "${stages[@]}"; do
       cmake -B build-check-serve-tsan -S . \
         -DCMAKE_BUILD_TYPE=Release \
         -DPRIONN_SANITIZE=thread >/dev/null
-      cmake --build build-check-serve-tsan -j "$jobs" --target serve_test
+      cmake --build build-check-serve-tsan -j "$jobs" \
+        --target serve_test resilience_test
       env TSAN_OPTIONS="halt_on_error=1:suppressions=$suppressions" \
         ctest --test-dir build-check-serve-tsan --output-on-failure \
-          -j "$jobs" -R "$serve_tests"
+          --no-tests=error -j "$jobs" -R "$serve_tests"
       note "serve: micro_serve gate (unsanitized)"
       cmake -B build-check-serve -S . \
         -DCMAKE_BUILD_TYPE=Release \
         -DPRIONN_SANITIZE=off >/dev/null
       cmake --build build-check-serve -j "$jobs" --target micro_serve
-      ctest --test-dir build-check-serve --output-on-failure -R micro_serve
+      ctest --test-dir build-check-serve --output-on-failure \
+        --no-tests=error -R micro_serve
       record "PASS  serve"
       ;;
     fuzz-smoke)
