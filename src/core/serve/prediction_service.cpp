@@ -12,6 +12,7 @@
 #include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "tensor/tensor.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace prionn::core::serve {
@@ -234,6 +235,10 @@ bool PredictionService::retrain_due() const {
 }
 
 void PredictionService::batcher_loop() {
+  // Inference runs inline on this thread: it never queues on the pool's
+  // submission lock behind the shadow trainer's parallel loops, which
+  // hold the rest of the pool for a whole training event.
+  util::ThreadPool::set_lane_width(1);
   for (;;) {
     std::vector<Request> batch;
     {
@@ -384,6 +389,9 @@ void PredictionService::fulfill(Request& request,
 }
 
 void PredictionService::trainer_loop() {
+  // Leave one core of the pool for the batcher's inline inference.
+  util::ThreadPool::set_lane_width(
+      std::max<std::size_t>(1, util::ThreadPool::global().size() - 1));
   for (;;) {
     {
       util::ScopedLock wl(window_mutex_);

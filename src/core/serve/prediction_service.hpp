@@ -24,6 +24,10 @@
 //     (serve/encoding_cache.hpp); repeat submissions skip the data-
 //     mapping stage. Model swaps invalidate nothing; only an embedding
 //     (re)fit clears it.
+//   - Compute lanes: the batcher runs its forward passes inline on one
+//     core; the trainer splits its loops over at most size() - 1 threads
+//     of the global pool, so inference never waits for a training loop.
+//     Every kernel gives the same bits at any lane width.
 //   - Backpressure: when the queue is full, submit() sheds the request
 //     to the fallback chain (RF -> requested, skipping the NN leg that
 //     needs the busy model) and returns an already-resolved future, so

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "nn/init.hpp"
+#include "nn/sample_parallel.hpp"
 #include "tensor/gemm.hpp"
 #include "util/check.hpp"
 
@@ -16,6 +17,26 @@ namespace {
 // Lowered-patch buffers are processed in sub-batches bounded to this many
 // floats so the one-hot transform (128 input channels) cannot blow memory.
 constexpr std::size_t kMaxColsFloats = 16u << 20;  // 64 MiB
+
+/// Lowering scratch of the calling thread, shared by every Conv2d of every
+/// network it runs. Layer calls never nest, so one grow-only set per thread
+/// serves them all: a retrain sizes it once for the widest layer instead of
+/// allocating ~19 MB per forward and backward, and keeps no per-layer copy.
+struct Scratch {
+  std::vector<float> cols;       // lowered patches (pr x wide)
+  std::vector<float> wide;       // GEMM output, or dY gathered (oc x wide)
+  std::vector<float> grad_cols;  // d(cols) (pr x wide)
+};
+
+Scratch& scratch() {
+  thread_local Scratch buffers;
+  return buffers;
+}
+
+float* grown(std::vector<float>& buffer, std::size_t floats) {
+  if (buffer.size() < floats) buffer.resize(floats);
+  return buffer.data();
+}
 }  // namespace
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -67,10 +88,14 @@ Shape Conv2d::output_shape(const Shape& input) const {
   return {out_channels(), g.out_h(), g.out_w()};
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
-  const std::size_t batch = input.dim(0);
+Tensor Conv2d::forward(const Tensor& input, bool training) {
+  return forward(Tensor(input), training);
+}
+
+Tensor Conv2d::forward(Tensor&& input, bool /*training*/) {
   geom_ = geometry({input.dim(1), input.dim(2), input.dim(3)});
-  input_ = input;
+  input_ = std::move(input);
+  const std::size_t batch = input_.dim(0);
 
   const std::size_t pr = geom_.patch_rows();
   const std::size_t pixels = geom_.patch_cols();
@@ -85,34 +110,50 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
   // the whole batch instead of issuing tiny per-sample multiplies.
   const std::size_t chunk =
       std::clamp<std::size_t>(kMaxColsFloats / (pr * pixels), 1, batch);
-  std::vector<float> cols(pr * chunk * pixels);
-  std::vector<float> gemm_out(oc * chunk * pixels);
+  Scratch& buffers = scratch();
+  float* cols = grown(buffers.cols, pr * chunk * pixels);
+  float* gemm_out = grown(buffers.wide, oc * chunk * pixels);
+  const tensor::Conv2dGeom g = geom_;
+  const float* bias = bias_.data();
   for (std::size_t base = 0; base < batch; base += chunk) {
     const std::size_t n = std::min(chunk, batch - base);
     const std::size_t wide = n * pixels;
-    for (std::size_t s = 0; s < n; ++s) {
-      // Write sample s's patches into its column block; rows are strided
-      // by the full sub-batch width.
-      tensor::im2col_strided(geom_, input.data() + (base + s) * in_stride,
-                             cols.data() + s * pixels, wide);
-    }
-    tensor::gemm(oc, pr, wide, 1.0f, weight_.data(), cols.data(), 0.0f,
-                 gemm_out.data());
+    const float* in = input_.data() + base * in_stride;
+    float* y = out.data() + base * oc * pixels;
+    // Each sample owns its column block of cols and its slice of out, so
+    // the lowering and the bias scatter split over samples bit-exactly.
+    for_each_sample(n, pr * pixels, [=](std::size_t lo, std::size_t hi) {
+      // Sample s's patch rows are strided by the full sub-batch width.
+      for (std::size_t s = lo; s < hi; ++s)
+        tensor::im2col_strided(g, in + s * in_stride, cols + s * pixels,
+                               wide);
+    });
+    tensor::gemm(oc, pr, wide, 1.0f, weight_.data(), cols, 0.0f, gemm_out);
     // Scatter (oc x n*pixels) back to (n, oc, pixels) layout with bias.
-    for (std::size_t c = 0; c < oc; ++c) {
-      const float b = bias_[c];
-      const float* src = gemm_out.data() + c * wide;
-      for (std::size_t s = 0; s < n; ++s) {
-        float* dst = out.data() + ((base + s) * oc + c) * pixels;
-        const float* block = src + s * pixels;
-        for (std::size_t p = 0; p < pixels; ++p) dst[p] = block[p] + b;
+    for_each_sample(n, oc * pixels, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) {
+        for (std::size_t c = 0; c < oc; ++c) {
+          const float b = bias[c];
+          const float* block = gemm_out + c * wide + s * pixels;
+          float* dst = y + (s * oc + c) * pixels;
+          for (std::size_t p = 0; p < pixels; ++p) dst[p] = block[p] + b;
+        }
       }
-    }
+    });
   }
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  return backward_impl(grad_output, /*input_gradient=*/true);
+}
+
+void Conv2d::backward_parameters(const Tensor& grad_output) {
+  backward_impl(grad_output, /*input_gradient=*/false);
+}
+
+Tensor Conv2d::backward_impl(const Tensor& grad_output,
+                             bool input_gradient) {
   PRIONN_CHECK(!input_.empty()) << "Conv2d::backward: forward() first";
   PRIONN_CHECK(grad_output.rank() == 4 &&
                grad_output.dim(0) == input_.dim(0) &&
@@ -130,39 +171,55 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::size_t oc = out_channels();
   const std::size_t in_stride = geom_.channels * geom_.height * geom_.width;
 
-  Tensor grad_input(input_.shape());
+  Tensor grad_input;
+  if (input_gradient) grad_input = Tensor(input_.shape());
   const std::size_t chunk =
       std::clamp<std::size_t>(kMaxColsFloats / (pr * pixels), 1, batch);
-  std::vector<float> cols(pr * chunk * pixels);
-  std::vector<float> dy(oc * chunk * pixels);
-  std::vector<float> grad_cols(pr * chunk * pixels);
+  Scratch& buffers = scratch();
+  float* cols = grown(buffers.cols, pr * chunk * pixels);
+  float* dy = grown(buffers.wide, oc * chunk * pixels);
+  float* grad_cols =
+      input_gradient ? grown(buffers.grad_cols, pr * chunk * pixels)
+                     : nullptr;
+  const tensor::Conv2dGeom g = geom_;
+  float* db = grad_bias_.data();
 
   for (std::size_t base = 0; base < batch; base += chunk) {
     const std::size_t n = std::min(chunk, batch - base);
     const std::size_t wide = n * pixels;
-    for (std::size_t s = 0; s < n; ++s) {
-      tensor::im2col_strided(geom_, input_.data() + (base + s) * in_stride,
-                             cols.data() + s * pixels, wide);
-      // Gather dY from (n, oc, pixels) into (oc x wide).
-      for (std::size_t c = 0; c < oc; ++c)
-        std::copy_n(grad_output.data() + ((base + s) * oc + c) * pixels,
-                    pixels, dy.data() + c * wide + s * pixels);
-    }
+    const float* in = input_.data() + base * in_stride;
+    const float* dout = grad_output.data() + base * oc * pixels;
+    for_each_sample(n, pr * pixels, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) {
+        tensor::im2col_strided(g, in + s * in_stride, cols + s * pixels,
+                               wide);
+        // Gather dY from (n, oc, pixels) into (oc x wide).
+        for (std::size_t c = 0; c < oc; ++c)
+          std::copy_n(dout + (s * oc + c) * pixels, pixels,
+                      dy + c * wide + s * pixels);
+      }
+    });
     // dW += dY (oc x wide) * cols^T (wide x pr)
-    tensor::gemm_bt(oc, wide, pr, 1.0f, dy.data(), cols.data(), 1.0f,
-                    grad_weight_.data());
-    for (std::size_t c = 0; c < oc; ++c) {
-      const float* lane = dy.data() + c * wide;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < wide; ++p) acc += lane[p];
-      grad_bias_[c] += acc;
-    }
+    tensor::gemm_bt(oc, wide, pr, 1.0f, dy, cols, 1.0f, grad_weight_.data());
+    // db: channels, like samples, are independent; each channel's sum
+    // runs in pixel order on one thread.
+    for_each_sample(oc, wide, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t c = lo; c < hi; ++c) {
+        const float* lane = dy + c * wide;
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < wide; ++p) acc += lane[p];
+        db[c] += acc;
+      }
+    });
+    if (!input_gradient) continue;
     // d(cols) = W^T (pr x oc) * dY (oc x wide)
-    tensor::gemm_at(pr, oc, wide, 1.0f, weight_.data(), dy.data(), 0.0f,
-                    grad_cols.data());
-    for (std::size_t s = 0; s < n; ++s)
-      tensor::col2im_strided(geom_, grad_cols.data() + s * pixels, wide,
-                             grad_input.data() + (base + s) * in_stride);
+    tensor::gemm_at(pr, oc, wide, 1.0f, weight_.data(), dy, 0.0f, grad_cols);
+    float* dx = grad_input.data() + base * in_stride;
+    for_each_sample(n, pr * pixels, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s)
+        tensor::col2im_strided(g, grad_cols + s * pixels, wide,
+                               dx + s * in_stride);
+    });
   }
   return grad_input;
 }

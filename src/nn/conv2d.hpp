@@ -22,7 +22,9 @@ class Conv2d : public Layer {
   std::string kind() const override { return "conv2d"; }
   Shape output_shape(const Shape& input) const override;
   Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(Tensor&& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_parameters(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {
     return {&grad_weight_, &grad_bias_};
@@ -35,6 +37,9 @@ class Conv2d : public Layer {
 
  private:
   tensor::Conv2dGeom geometry(const Shape& sample) const;
+  /// Accumulates dW and db; returns dX when `input_gradient`, else an
+  /// empty tensor.
+  Tensor backward_impl(const Tensor& grad_output, bool input_gradient);
 
   Tensor weight_;  // (out_c, in_c, kh, kw)
   Tensor bias_;    // (out_c)

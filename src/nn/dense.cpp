@@ -53,7 +53,7 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+void Dense::backward_parameters(const Tensor& grad_output) {
   PRIONN_CHECK(grad_output.rank() == 2 &&
                grad_output.dim(1) == out_features())
       << "Dense::backward: gradient shape "
@@ -71,6 +71,11 @@ Tensor Dense::backward(const Tensor& grad_output) {
   for (std::size_t n = 0; n < batch; ++n)
     for (std::size_t o = 0; o < out_features(); ++o)
       grad_bias_[o] += grad_output.at(n, o);
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+  backward_parameters(grad_output);
+  const std::size_t batch = grad_output.dim(0);
   // dX = dY (N x out) * W (out x in)
   Tensor grad_input({batch, in_features()});
   tensor::gemm(batch, out_features(), in_features(), 1.0f,

@@ -17,6 +17,7 @@ class Dense : public Layer {
   Shape output_shape(const Shape& input) const override;
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_parameters(const Tensor& grad_output) override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {
     return {&grad_weight_, &grad_bias_};

@@ -31,9 +31,23 @@ class Layer {
   /// Forward pass over a batch; `training` toggles dropout-style behaviour.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
+  /// Forward pass over a batch the caller no longer needs: a layer that
+  /// caches its input for backward() may keep `input` itself instead of a
+  /// copy. Network::forward hands every activation over this way.
+  virtual Tensor forward(Tensor&& input, bool training) {
+    return forward(static_cast<const Tensor&>(input), training);
+  }
+
   /// Backward pass: gradient w.r.t. this layer's input, given gradient
   /// w.r.t. its output. Accumulates into parameter gradients.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// backward() for a layer whose input gradient nobody reads (the first
+  /// layer under Network::train_batch): accumulates the same parameter
+  /// gradients and may skip the input gradient.
+  virtual void backward_parameters(const Tensor& grad_output) {
+    backward(grad_output);
+  }
 
   /// Trainable parameters and their gradient buffers (parallel vectors).
   virtual std::vector<Tensor*> parameters() { return {}; }

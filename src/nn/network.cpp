@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -33,50 +34,57 @@ Shape Network::output_shape(Shape input) const {
   return input;
 }
 
-namespace {
-
-// Per-layer-kind accumulated time. Only reached when layer timing is on,
-// so a mutex-guarded registry lookup per layer is acceptable; the
-// always-on path below pays one relaxed atomic load per forward/backward.
-void account_layer_ns(const char* direction, const std::string& kind,
-                      std::uint64_t ns) {
-  obs::registry()
-      .counter("prionn_nn_" + std::string(direction) + "_ns_total_" + kind,
-               "accumulated " + std::string(direction) +
-                   " time in this layer kind, nanoseconds")
-      .inc(ns);
+const std::vector<Network::LayerCounters>& Network::layer_counters() {
+  if (layer_counters_.size() != layers_.size()) {
+    layer_counters_.resize(layers_.size());
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+      char position[24];
+      std::snprintf(position, sizeof position, "%02zu_", i);
+      const std::string layer = position + layers_[i]->kind();
+      layer_counters_[i] = {
+          &obs::registry().counter(
+              "prionn_nn_forward_ns_total_" + layer,
+              "accumulated forward time at this layer position, ns"),
+          &obs::registry().counter(
+              "prionn_nn_backward_ns_total_" + layer,
+              "accumulated backward time at this layer position, ns")};
+    }
+  }
+  return layer_counters_;
 }
 
-}  // namespace
-
 Tensor Network::forward(const Tensor& batch, bool training) {
-  if (obs::layer_timing_enabled()) {
-    Tensor x = batch;
-    for (const auto& l : layers_) {
-      util::Timer timer;
-      x = l->forward(x, training);
-      account_layer_ns("forward", l->kind(), timer.elapsed_ns());
-    }
-    return x;
-  }
+  // One relaxed load per call while layer timing is off.
+  const std::vector<LayerCounters>* counters =
+      obs::layer_timing_enabled() ? &layer_counters() : nullptr;
   Tensor x = batch;
-  for (const auto& l : layers_) x = l->forward(x, training);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const std::uint64_t t0 = counters ? util::Timer::now_ns() : 0;
+    x = layers_[i]->forward(std::move(x), training);
+    if (counters) (*counters)[i].forward->inc(util::Timer::now_ns() - t0);
+  }
   return x;
 }
 
 Tensor Network::backward(const Tensor& grad_output) {
-  if (obs::layer_timing_enabled()) {
-    Tensor g = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      util::Timer timer;
-      g = (*it)->backward(g);
-      account_layer_ns("backward", (*it)->kind(), timer.elapsed_ns());
-    }
-    return g;
-  }
+  return backward_through(grad_output, /*input_gradient=*/true);
+}
+
+Tensor Network::backward_through(const Tensor& grad_output,
+                                 bool input_gradient) {
+  const std::vector<LayerCounters>* counters =
+      obs::layer_timing_enabled() ? &layer_counters() : nullptr;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    const std::uint64_t t0 = counters ? util::Timer::now_ns() : 0;
+    if (i == 0 && !input_gradient) {
+      layers_[0]->backward_parameters(g);
+      g = Tensor();
+    } else {
+      g = layers_[i]->backward(g);
+    }
+    if (counters) (*counters)[i].backward->inc(util::Timer::now_ns() - t0);
+  }
   return g;
 }
 
@@ -117,7 +125,7 @@ double Network::train_batch(const Tensor& inputs,
   zero_gradients();
   const Tensor logits = forward(inputs, /*training=*/true);
   LossResult loss = softmax_cross_entropy(logits, labels);
-  backward(loss.grad);
+  backward_through(loss.grad, /*input_gradient=*/false);
   if (gradient_clip > 0.0) {
     for (Tensor* g : gradients())
       tensor::clip_inplace(g->span(), static_cast<float>(gradient_clip));

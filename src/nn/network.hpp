@@ -15,6 +15,10 @@
 #include "nn/layer.hpp"
 #include "nn/optimizer.hpp"
 
+namespace prionn::obs {
+class Counter;
+}  // namespace prionn::obs
+
 namespace prionn::nn {
 
 struct FitOptions {
@@ -118,7 +122,21 @@ class Network {
   /// Gather rows `idx` of a batch tensor into a contiguous sub-batch.
   static Tensor gather(const Tensor& batch, std::span<const std::size_t> idx);
 
+  /// backward(), computing the first layer's input gradient only when
+  /// `input_gradient` (train_batch has no use for it).
+  Tensor backward_through(const Tensor& grad_output, bool input_gradient);
+
+  /// Per-layer timing counters, one forward/backward pair per position,
+  /// named by position and kind (prionn_nn_forward_ns_total_00_conv2d).
+  /// Resolved on the first timed pass after the layer list changes.
+  struct LayerCounters {
+    obs::Counter* forward = nullptr;
+    obs::Counter* backward = nullptr;
+  };
+  const std::vector<LayerCounters>& layer_counters();
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<LayerCounters> layer_counters_;
 };
 
 }  // namespace prionn::nn

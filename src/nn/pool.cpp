@@ -5,6 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "nn/sample_parallel.hpp"
 #include "util/check.hpp"
 
 namespace prionn::nn {
@@ -18,6 +19,42 @@ std::uint64_t read_u64(std::istream& is) {
 }
 void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Max-pool input planes [first, last) of h x w, recording each winner's
+/// flat input index. Kept out of line: inlined into the std::function
+/// thunk of the per-sample split, GCC's code ran 2.5x slower.
+[[gnu::noinline]] void pool_planes(const float* in, std::size_t first,
+                                   std::size_t last, std::size_t h,
+                                   std::size_t w, std::size_t window,
+                                   std::size_t stride, float* out,
+                                   std::size_t* winner) noexcept {
+  const std::size_t oh = (h - window) / stride + 1;
+  const std::size_t ow = (w - window) / stride + 1;
+  std::size_t oi = first * oh * ow;
+  for (std::size_t plane_id = first; plane_id < last; ++plane_id) {
+    const std::size_t plane_base = plane_id * h * w;
+    const float* plane = in + plane_base;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = 0;
+        for (std::size_t ky = 0; ky < window; ++ky) {
+          const std::size_t iy = oy * stride + ky;
+          for (std::size_t kx = 0; kx < window; ++kx) {
+            const std::size_t ix = ox * stride + kx;
+            const float v = plane[iy * w + ix];
+            if (v > best) {
+              best = v;
+              best_idx = plane_base + iy * w + ix;
+            }
+          }
+        }
+        out[oi] = best;
+        winner[oi] = best_idx;
+      }
+    }
+  }
 }
 }  // namespace
 
@@ -42,33 +79,12 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
   const std::size_t oh = (h - window_) / stride_ + 1;
   const std::size_t ow = (w - window_) / stride_ + 1;
   Tensor out({batch, c, oh, ow});
-  argmax_.assign(out.size(), 0);
-  std::size_t oi = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.data() + (n * c + ch) * h * w;
-      const std::size_t plane_base = (n * c + ch) * h * w;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            const std::size_t iy = oy * stride_ + ky;
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              const std::size_t ix = ox * stride_ + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + iy * w + ix;
-              }
-            }
-          }
-          out[oi] = best;
-          argmax_[oi] = best_idx;
-        }
-      }
-    }
-  }
+  argmax_.resize(out.size());
+  // Samples write disjoint output and argmax slices: split over the pool.
+  for_each_sample(batch, c * h * w, [&](std::size_t lo, std::size_t hi) {
+    pool_planes(input.data(), lo * c, hi * c, h, w, window_, stride_,
+                out.data(), argmax_.data());
+  });
   return out;
 }
 
@@ -77,8 +93,17 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
       << "MaxPool2d::backward: gradient has " << grad_output.size()
       << " elements but forward produced " << argmax_.size();
   Tensor grad_input(input_shape_);
-  for (std::size_t i = 0; i < grad_output.size(); ++i)
-    grad_input[argmax_[i]] += grad_output[i];
+  // A sample's winners all lie in its own input slice, and within a sample
+  // the scatter-add keeps its serial order.
+  const std::size_t batch = input_shape_[0];
+  const std::size_t per_sample = batch ? grad_output.size() / batch : 0;
+  const float* dy = grad_output.data();
+  const std::size_t* winner = argmax_.data();
+  float* dx = grad_input.data();
+  for_each_sample(batch, per_sample, [=](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo * per_sample; i < hi * per_sample; ++i)
+      dx[winner[i]] += dy[i];
+  });
   return grad_input;
 }
 

@@ -1,6 +1,8 @@
 // Single-precision general matrix multiply, the computational core of both
 // the dense layers and the im2col convolutions. Cache-blocked with a
-// vectorisable micro-kernel and optional thread-pool row parallelism.
+// vectorisable micro-kernel. Large products split over the calling
+// thread's lanes of the global pool, only along the kernel's own tile
+// boundaries, so every result is bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>

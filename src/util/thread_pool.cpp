@@ -6,6 +6,18 @@
 
 namespace prionn::util {
 
+namespace {
+thread_local std::size_t t_lane_width = 0;  // 0: the whole pool
+}  // namespace
+
+void ThreadPool::set_lane_width(std::size_t width) noexcept {
+  t_lane_width = width;
+}
+
+std::size_t ThreadPool::lanes() const noexcept {
+  return t_lane_width == 0 ? size() : std::min(t_lane_width, size());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   std::size_t n = threads ? threads : std::thread::hardware_concurrency();
   if (n == 0) n = 1;
@@ -69,7 +81,7 @@ void ThreadPool::parallel_for_chunks(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t total = end - begin;
-  const std::size_t chunks = std::min(total, size());
+  const std::size_t chunks = std::min(total, lanes());
   if (chunks <= 1 || workers_.empty()) {
     fn(begin, end);
     return;

@@ -27,14 +27,26 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size() + 1; }
 
-  /// Run fn(begin..end) partitioned across the pool (including the calling
-  /// thread). Blocks until every iteration has completed. `fn` receives
-  /// (index). Exceptions thrown by fn propagate to the caller (first one).
-  /// Safe to call from multiple threads at once: concurrent loops are
-  /// serialised on a submission lock (the pool has one task slot), so a
-  /// serving thread and a background retrain can share the global pool —
-  /// they interleave at per-loop granularity rather than corrupting the
-  /// task state. Do not nest parallel_for inside a worker body: the
+  /// Fix the calling thread's lane width: the most chunks any loop it
+  /// submits is split into. 0 (the default) means size(); 1 runs every
+  /// loop inline on the calling thread, without the submission lock, so
+  /// that thread never queues behind another submitter. Loops whose
+  /// result depends only on fixed tile boundaries (GEMM, per-sample
+  /// layers) give the same bits at every width.
+  static void set_lane_width(std::size_t width) noexcept;
+
+  /// Chunks a loop submitted from the calling thread splits into at most:
+  /// the lane width, capped at size().
+  std::size_t lanes() const noexcept;
+
+  /// Run fn(begin..end) partitioned across lanes() threads of the pool
+  /// (including the calling thread). Blocks until every iteration has
+  /// completed. `fn` receives (index). Exceptions thrown by fn propagate
+  /// to the caller (first one). Safe to call from multiple threads at
+  /// once: concurrent loops are serialised on a submission lock (the pool
+  /// has one task slot), so a serving thread and a background retrain can
+  /// share the global pool — they interleave at per-loop granularity
+  /// rather than corrupting the task state. Do not nest parallel_for inside a worker body: the
   /// submission lock is not reentrant.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);

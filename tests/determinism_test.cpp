@@ -1,0 +1,170 @@
+// Thread-count independence: every parallel kernel must give the same bits
+// at every lane width, so that a run's arithmetic never depends on the
+// machine's core count or on how the serving lanes are set. Each product
+// and train step below is run at lane width 1 (fully inline) as the
+// reference, then at every width up to the pool's size.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "core/model_zoo.hpp"
+#include "nn/network.hpp"
+#include "nn/optimizer.hpp"
+#include "tensor/gemm.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+
+namespace t = prionn::tensor;
+using prionn::util::ThreadPool;
+
+namespace {
+
+/// Restores the calling thread's default lane width on scope exit.
+struct LaneWidth {
+  explicit LaneWidth(std::size_t width) { ThreadPool::set_lane_width(width); }
+  ~LaneWidth() { ThreadPool::set_lane_width(0); }
+  LaneWidth(const LaneWidth&) = delete;
+  LaneWidth& operator=(const LaneWidth&) = delete;
+};
+
+std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
+  prionn::util::Rng rng(seed);
+  std::vector<float> v(n);
+  for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return v;
+}
+
+/// Runs `run` at lane widths 1..pool size and expects identical output
+/// bytes at every width.
+void expect_width_independent(
+    const std::function<std::vector<float>()>& run) {
+  std::vector<float> reference;
+  {
+    LaneWidth lanes(1);
+    reference = run();
+  }
+  for (std::size_t width = 2; width <= ThreadPool::global().size();
+       ++width) {
+    LaneWidth lanes(width);
+    const std::vector<float> got = run();
+    ASSERT_EQ(got.size(), reference.size());
+    EXPECT_EQ(std::memcmp(got.data(), reference.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << "lane width " << width;
+  }
+}
+
+enum class Op { kGemm, kGemmAt, kGemmBt };
+
+struct Product {
+  const char* name;
+  Op op;
+  std::size_t m, k, n;
+  float beta;
+};
+
+/// C = A * B (+ beta C) with A, B and C stored as each op expects.
+std::vector<float> run_product(const Product& p) {
+  const auto a = random_floats(p.m * p.k, 1);
+  const auto b = random_floats(p.k * p.n, 2);
+  auto c = random_floats(p.m * p.n, 3);
+  switch (p.op) {
+    case Op::kGemm:
+      t::gemm(p.m, p.k, p.n, 1.0f, a.data(), b.data(), p.beta, c.data());
+      break;
+    case Op::kGemmAt:
+      t::gemm_at(p.m, p.k, p.n, 1.0f, a.data(), b.data(), p.beta, c.data());
+      break;
+    case Op::kGemmBt:
+      t::gemm_bt(p.m, p.k, p.n, 1.0f, a.data(), b.data(), p.beta, c.data());
+      break;
+  }
+  return c;
+}
+
+/// One layer of the kFast 2D-CNN at batch 32 on 64 x 64 images:
+/// out channels, patch rows (in channels x 3 x 3) and batch x pixels.
+struct ConvShape {
+  const char* name;
+  std::size_t oc, pr, wide;
+};
+constexpr ConvShape kConvShapes[] = {
+    {"conv1", 4, 4 * 9, 32 * 64 * 64},
+    {"conv2", 8, 4 * 9, 32 * 32 * 32},
+    {"conv3", 8, 8 * 9, 32 * 16 * 16},
+    {"conv4", 16, 8 * 9, 32 * 8 * 8},
+};
+
+}  // namespace
+
+TEST(ThreadCountIndependence, ConvProductsAtEveryLaneWidth) {
+  for (const auto& s : kConvShapes) {
+    // Forward Y = W * cols, backward dW += dY * cols^T and
+    // d(cols) = W^T * dY: the three products Conv2d issues.
+    const Product products[] = {
+        {"forward", Op::kGemm, s.oc, s.pr, s.wide, 0.0f},
+        {"dW", Op::kGemmBt, s.oc, s.wide, s.pr, 1.0f},
+        {"dcols", Op::kGemmAt, s.pr, s.oc, s.wide, 0.0f},
+    };
+    for (const auto& p : products) {
+      SCOPED_TRACE(std::string(s.name) + " " + p.name);
+      expect_width_independent([&] { return run_product(p); });
+    }
+  }
+}
+
+TEST(ThreadCountIndependence, DenseProductsAtEveryLaneWidth) {
+  // The kFast head at batch 32 (forward X * W^T, backward dW += dY^T * X
+  // and dX = dY * W), plus a tall product and a deep one big enough to
+  // split by kMR row tiles and by kKC depth blocks.
+  const Product products[] = {
+      {"fc1 forward", Op::kGemmBt, 32, 256, 128, 0.0f},
+      {"fc1 dW", Op::kGemmAt, 128, 32, 256, 1.0f},
+      {"fc1 dX", Op::kGemm, 32, 128, 256, 0.0f},
+      {"out forward", Op::kGemmBt, 32, 64, 960, 0.0f},
+      {"out dW", Op::kGemmAt, 960, 32, 64, 1.0f},
+      {"out dX", Op::kGemm, 32, 960, 64, 0.0f},
+      {"tall", Op::kGemm, 1024, 96, 64, 0.5f},
+      {"deep", Op::kGemmBt, 32, 4096, 256, 0.0f},
+  };
+  for (const auto& p : products) {
+    SCOPED_TRACE(p.name);
+    expect_width_independent([&] { return run_product(p); });
+  }
+}
+
+TEST(ThreadCountIndependence, Cnn2dTrainBatchAtEveryLaneWidth) {
+  prionn::core::ModelConfig config;
+  config.kind = prionn::core::ModelKind::kCnn2d;
+  config.preset = prionn::core::ModelPreset::kFast;
+  const std::size_t batch = 32;
+  t::Tensor x({batch, config.channels, config.rows, config.cols},
+              random_floats(batch * config.channels * config.rows *
+                                config.cols,
+                            4));
+  std::vector<std::uint32_t> y(batch);
+  for (std::size_t i = 0; i < batch; ++i)
+    y[i] = static_cast<std::uint32_t>((i * 37) % config.classes);
+
+  expect_width_independent([&] {
+    prionn::nn::Network net = prionn::core::build_model(config);
+    prionn::nn::Adam opt(1e-3);
+    const double loss = net.train_batch(x, y, opt);
+    // The loss's bits, every gradient, every updated weight, then the
+    // logits of the next forward pass.
+    std::vector<float> out(sizeof loss / sizeof(float));
+    std::memcpy(out.data(), &loss, sizeof loss);
+    for (const auto* g : net.gradients())
+      out.insert(out.end(), g->data(), g->data() + g->size());
+    for (const auto* p : net.parameters())
+      out.insert(out.end(), p->data(), p->data() + p->size());
+    const t::Tensor logits = net.forward(x, /*training=*/false);
+    out.insert(out.end(), logits.data(), logits.data() + logits.size());
+    return out;
+  });
+}

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/pool.hpp"
 #include "nn/serialize.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace nn = prionn::nn;
@@ -545,4 +547,95 @@ TEST(Network, GradientClippingBounds) {
   for (const auto* g : net.gradients())
     for (std::size_t i = 0; i < g->size(); ++i)
       EXPECT_LE(std::abs((*g)[i]), 1e-4f + 1e-7f);
+}
+
+namespace {
+
+/// Conv-first (and, with `dense_first`, Dense-first) nets whose first
+/// layer has a parameters-only backward.
+nn::Network make_first_layer_net(bool dense_first, std::uint64_t seed) {
+  prionn::util::Rng rng(seed);
+  nn::Network net;
+  if (dense_first) {
+    net.emplace<nn::Dense>(2 * 8 * 8, 24, rng);
+    net.emplace<nn::Relu>();
+  } else {
+    net.emplace<nn::Conv2d>(2, 4, 3, 3, 1, 1, rng);
+    net.emplace<nn::Relu>();
+    net.emplace<nn::MaxPool2d>(2);
+    net.emplace<nn::Flatten>();
+    net.emplace<nn::Dense>(4 * 4 * 4, 24, rng);
+    net.emplace<nn::Relu>();
+  }
+  net.emplace<nn::Dropout>(0.2, seed + 1);
+  net.emplace<nn::Dense>(24, 5, rng);
+  return net;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+}  // namespace
+
+// train_batch skips the first layer's input gradient (nothing reads it);
+// the parameter gradients and the Adam step must not notice.
+TEST(Network, TrainBatchSkippingInputGradientMatchesFullBackward) {
+  for (const bool dense_first : {false, true}) {
+    SCOPED_TRACE(dense_first ? "dense first" : "conv2d first");
+    const Tensor x = dense_first ? random_tensor({6, 2 * 8 * 8}, 71)
+                                 : random_tensor({6, 2, 8, 8}, 71);
+    const std::vector<std::uint32_t> y = {0, 4, 2, 1, 3, 0};
+    auto skipping = make_first_layer_net(dense_first, 72);
+    auto full = make_first_layer_net(dense_first, 72);
+    nn::Adam skipping_opt(0.01), full_opt(0.01);
+    for (int step = 0; step < 3; ++step) {
+      const double loss = skipping.train_batch(x, y, skipping_opt);
+
+      full.zero_gradients();
+      const auto reference =
+          nn::softmax_cross_entropy(full.forward(x, /*training=*/true), y);
+      const Tensor grad_x = full.backward(reference.grad);
+      EXPECT_EQ(grad_x.shape(), x.shape());
+      EXPECT_EQ(loss, reference.value);
+      const auto skipped_grads = skipping.gradients();
+      const auto full_grads = full.gradients();
+      ASSERT_EQ(skipped_grads.size(), full_grads.size());
+      for (std::size_t i = 0; i < full_grads.size(); ++i)
+        EXPECT_TRUE(same_bits(*skipped_grads[i], *full_grads[i]))
+            << "step " << step << " gradient " << i;
+
+      full_opt.step(full.parameters(), full_grads);
+      const auto skipped_params = skipping.parameters();
+      const auto full_params = full.parameters();
+      for (std::size_t i = 0; i < full_params.size(); ++i)
+        EXPECT_TRUE(same_bits(*skipped_params[i], *full_params[i]))
+            << "step " << step << " parameter " << i;
+    }
+  }
+}
+
+TEST(Network, LayerTimingCountersAreKeyedByPosition) {
+  auto net = make_mlp(49);  // dense, tanh, dense: two layers of one kind
+  const Tensor x = random_tensor({4, 2}, 50);
+  auto& reg = prionn::obs::registry();
+  const auto value = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  const std::uint64_t fwd0 = value("prionn_nn_forward_ns_total_00_dense");
+  const std::uint64_t fwd2 = value("prionn_nn_forward_ns_total_02_dense");
+  const std::uint64_t bwd2 = value("prionn_nn_backward_ns_total_02_dense");
+  prionn::obs::set_layer_timing(true);
+  net.forward(x, /*training=*/true);
+  net.backward(random_tensor({4, 2}, 51));
+  prionn::obs::set_layer_timing(false);
+  if (!prionn::obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  EXPECT_GT(value("prionn_nn_forward_ns_total_00_dense"), fwd0);
+  EXPECT_GT(value("prionn_nn_forward_ns_total_02_dense"), fwd2);
+  EXPECT_GT(value("prionn_nn_backward_ns_total_02_dense"), bwd2);
+  // Off again: a forward pass leaves every counter alone.
+  const std::uint64_t after = value("prionn_nn_forward_ns_total_00_dense");
+  net.forward(x, /*training=*/false);
+  EXPECT_EQ(value("prionn_nn_forward_ns_total_00_dense"), after);
 }

@@ -18,11 +18,13 @@ cd "$repo_root"
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 suppressions="$repo_root/tools/sanitizer-suppressions.txt"
-# Every suite in tests/serve_test.cpp, for builds where only that target
-# (plus its ctest discovery stub) exists.
+# Every suite in tests/serve_test.cpp, the serving ports in
+# tests/resilience_test.cpp and tests/determinism_test.cpp (whose split
+# GEMM partials and per-sample layers write shared buffers from several
+# threads), for builds where only those targets exist.
 serve_tests='EncodingCache|ServeOptions|OnlineProtocol|Serving'
 serve_tests+='|PredictionService|OnlineResult|BatchedPrediction'
-serve_tests+='|ResilientOnline|ResilienceAcceptance'
+serve_tests+='|ResilientOnline|ResilienceAcceptance|ThreadCountIndependence'
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
   stages=(format tidy release obs-off address undefined thread tsa serve
@@ -107,7 +109,8 @@ for stage in "${stages[@]}"; do
       ;;
     serve)
       # Serving subsystem gate, both halves: the PredictionService
-      # concurrency tests under TSan (submit/retrain/swap races), then
+      # concurrency and lane-width determinism tests under TSan
+      # (submit/retrain/swap races, split-kernel writers), then
       # the unsanitized micro_serve binary whose exit status enforces
       # bit-exact replay, throughput >= sequential, and the 2x retrain
       # p99 ceiling. The 'thread' and 'release' stages cover these tests
@@ -117,7 +120,7 @@ for stage in "${stages[@]}"; do
         -DCMAKE_BUILD_TYPE=Release \
         -DPRIONN_SANITIZE=thread >/dev/null
       cmake --build build-check-serve-tsan -j "$jobs" \
-        --target serve_test resilience_test
+        --target serve_test resilience_test determinism_test
       env TSAN_OPTIONS="halt_on_error=1:suppressions=$suppressions" \
         ctest --test-dir build-check-serve-tsan --output-on-failure \
           --no-tests=error -j "$jobs" -R "$serve_tests"
