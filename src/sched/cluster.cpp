@@ -1,6 +1,7 @@
 #include "sched/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -65,6 +66,12 @@ void ClusterSimulator::try_start_jobs() {
   if (queue_.front().nodes > options_.total_nodes)
     throw std::invalid_argument(
         "ClusterSimulator: job larger than the machine");
+  // Backfill only starts candidates that fit the free nodes now, and
+  // starting one only shrinks them: if none fits, nothing can start.
+  if (std::none_of(queue_.begin() + 1, queue_.end(), [this](const SimJob& j) {
+        return j.nodes <= free_nodes_;
+      }))
+    return;
 
   // EASY backfill. Compute the shadow time: the earliest instant the
   // blocked head job could start, believing the scheduler's runtime
@@ -147,8 +154,13 @@ std::vector<ScheduledJob> ClusterSimulator::run(
 double ClusterSimulator::snapshot_turnaround(
     std::uint64_t job_id,
     const std::function<double(std::uint64_t)>& predicted) const {
-  ClusterSimulator clone = *this;
-  clone.completed_.clear();
+  // The clone needs only the live state; the completed history never
+  // affects what happens next.
+  ClusterSimulator clone(options_);
+  clone.now_ = now_;
+  clone.free_nodes_ = free_nodes_;
+  clone.running_ = running_;
+  clone.queue_ = queue_;
 
   // Replace runtimes of running jobs with prediction-derived remainders.
   for (auto& r : clone.running_) {
@@ -159,32 +171,31 @@ double ClusterSimulator::snapshot_turnaround(
     r.believed_end = r.actual_end;
   }
   // Replace runtimes of queued jobs with predictions outright.
-  bool found = false;
+  bool queued = false;
   for (auto& q : clone.queue_) {
     const double p = std::max(kMinRemaining, predicted(q.id));
     q.runtime = p;
     q.believed_runtime = p;
-    if (q.id == job_id) found = true;
+    if (q.id == job_id) queued = true;
   }
-  for (const auto& r : clone.running_)
-    if (r.id == job_id) found = true;
-  if (!found) return -1.0;
 
-  // Replay the clone until the target job completes.
-  double submit_time = -1.0, end_time = -1.0;
-  while (!clone.idle()) {
+  // The clone's runtimes are the predictions, so the target's end is fixed
+  // the moment it starts. Replay one completion at a time until then: a
+  // job started inside advance_to(next) ends at least a second after
+  // `next`, so the target cannot also complete within that step.
+  for (;;) {
+    const auto target =
+        std::find_if(clone.running_.begin(), clone.running_.end(),
+                     [job_id](const Running& r) { return r.id == job_id; });
+    if (target != clone.running_.end())
+      return std::isfinite(target->actual_end)
+                 ? target->actual_end - target->submit
+                 : -1.0;
+    if (!queued) return -1.0;
     const double next = clone.next_completion_time();
-    if (next == kInfinity) break;
+    if (next == kInfinity) return -1.0;
     clone.advance_to(next);
-    for (const auto& done : clone.completed_) {
-      if (done.id == job_id) {
-        submit_time = done.submit_time;
-        end_time = done.end_time;
-      }
-    }
-    if (end_time >= 0.0) break;
   }
-  return end_time >= 0.0 ? end_time - submit_time : -1.0;
 }
 
 }  // namespace prionn::sched

@@ -58,11 +58,15 @@ class ClusterSimulator {
   std::vector<ScheduledJob> run(const std::vector<SimJob>& jobs);
 
   /// --- Snapshot turnaround prediction (paper section 4.2) -----------
-  /// Clone the current state, override the runtime of every queued and
-  /// running job with `predicted(id)` (remaining time for running jobs is
-  /// prediction minus elapsed, floored at one second), then replay the
-  /// clone until `job_id` completes. Returns predicted completion minus
-  /// the job's submit time, or a negative value if the job is unknown.
+  /// Clone the live state (not the completed history), override the
+  /// runtime of every queued and running job with `predicted(id)`
+  /// (remaining time for running jobs is prediction minus elapsed), each
+  /// floored at one second; a NaN prediction is floored to one second too.
+  /// Then replay the clone until `job_id` starts: its predicted end is
+  /// fixed from that moment, so a running target needs no replay at all.
+  /// Returns predicted completion minus the job's submit time, or a
+  /// negative value if the job is unknown or its predicted end is not
+  /// finite.
   double snapshot_turnaround(
       std::uint64_t job_id,
       const std::function<double(std::uint64_t)>& predicted) const;

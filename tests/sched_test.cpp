@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "sched/burst.hpp"
@@ -179,6 +182,14 @@ TEST(Cluster, OversizedJobThrows) {
   EXPECT_THROW(sim.run({job(1, 0.0, 5, 10.0)}), std::invalid_argument);
 }
 
+TEST(Cluster, OversizedHeadThrowsWhenNoCandidateFits) {
+  // The machine is full and nothing queued behind the head could
+  // backfill, but a head larger than the machine is still an error.
+  sc::ClusterSimulator sim({4, true});
+  sim.submit(job(1, 0.0, 4, 100.0));
+  EXPECT_THROW(sim.submit(job(2, 1.0, 5, 10.0)), std::invalid_argument);
+}
+
 TEST(Cluster, ZeroNodeClusterRejected) {
   EXPECT_THROW(sc::ClusterSimulator({0, true}), std::invalid_argument);
 }
@@ -264,9 +275,13 @@ TEST(Snapshot, DoesNotPerturbLiveSimulation) {
   sim.submit(job(2, 1.0, 4, 50.0));
   const auto before_queue = sim.queued_count();
   const auto before_now = sim.now();
+  const auto before_completed = sim.completed().size();
+  const auto before_free = sim.free_nodes();
   (void)sim.snapshot_turnaround(2, [](std::uint64_t) { return 1000.0; });
   EXPECT_EQ(sim.queued_count(), before_queue);
   EXPECT_DOUBLE_EQ(sim.now(), before_now);
+  EXPECT_EQ(sim.completed().size(), before_completed);
+  EXPECT_EQ(sim.free_nodes(), before_free);
   sim.drain();
   EXPECT_EQ(sim.completed().size(), 2u);
 }
@@ -284,6 +299,118 @@ TEST(Snapshot, BadPredictionsShiftTurnaround) {
         return id == 1 ? 1000.0 : 10.0;
       });
   EXPECT_LT(optimistic, realistic);
+}
+
+TEST(Snapshot, RunningTargetEndsAtRemainingPrediction) {
+  // A running target's end is fixed by its own prediction: now plus the
+  // predicted remainder, floored at one second (a NaN floors to it too).
+  sc::ClusterSimulator sim({4, true});
+  sim.submit(job(1, 0.0, 2, 100.0));
+  sim.submit(job(2, 30.0, 4, 500.0));
+  ASSERT_EQ(sim.running_count(), 1u);
+  // Job 1 was submitted and started at 0, so elapsed == now - 0 and the
+  // turnaround is now + remaining - 0.
+  const double now = sim.now();
+  const auto turnaround = [&](double pred) {
+    return sim.snapshot_turnaround(1, [pred](std::uint64_t) { return pred; });
+  };
+  EXPECT_EQ(turnaround(70.5), now + std::max(1.0, 70.5 - now));
+  EXPECT_EQ(turnaround(10.0), now + 1.0);
+  EXPECT_EQ(turnaround(std::nan("")), now + 1.0);
+}
+
+TEST(Snapshot, BackfilledTargetMatchesHandSchedule) {
+  // 4 nodes. A (2 nodes) runs to 100 and E (1 node) to 20; the head B
+  // needs all 4, so its reservation is at 100. The target C (2 nodes,
+  // 30 s) cannot start at submission with 1 node free; when E ends at 20
+  // it backfills past B (20 + 30 <= 100) and ends at 50.
+  const std::vector<sc::SimJob> jobs = {
+      job(0, 0.0, 2, 100.0), job(1, 0.0, 1, 20.0), job(2, 1.0, 4, 50.0),
+      job(3, 2.0, 2, 30.0)};
+  const auto predicted = [&](std::uint64_t id) { return jobs[id].runtime; };
+  for (const bool backfill : {true, false}) {
+    sc::ClusterSimulator sim({4, backfill});
+    for (const auto& j : jobs) sim.submit(j);
+    ASSERT_EQ(sim.queued_count(), 2u);
+    // Without backfill C waits for B: B runs 100..150, C 150..180.
+    const double expected = backfill ? 50.0 - 2.0 : 180.0 - 2.0;
+    EXPECT_EQ(sim.snapshot_turnaround(3, predicted), expected);
+    sim.drain();
+    EXPECT_EQ(by_id(sim.completed())[3].turnaround(), expected);
+  }
+}
+
+TEST(Snapshot, NonFiniteTargetPredictionReturnsNegative) {
+  // A target predicted never to finish has no turnaround, whether it is
+  // already running or still queued when the snapshot is taken.
+  sc::ClusterSimulator sim({4, true});
+  sim.submit(job(1, 0.0, 2, 100.0));
+  sim.submit(job(2, 1.0, 4, 50.0));
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto infinite_for = [inf](std::uint64_t target) {
+    return [inf, target](std::uint64_t id) {
+      return id == target ? inf : 10.0;
+    };
+  };
+  EXPECT_LT(sim.snapshot_turnaround(1, infinite_for(1)), 0.0);
+  EXPECT_LT(sim.snapshot_turnaround(2, infinite_for(2)), 0.0);
+}
+
+namespace {
+
+// FNV-1a over the bit patterns of 64-bit words.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+};
+
+}  // namespace
+
+TEST(Snapshot, PredictionsMatchPinnedDigest) {
+  // Every snapshot result, an unknown-id probe per submission and the
+  // final schedule, over two Cab traces at a contended and an uncontended
+  // node count, with backfill on and off. The digest was taken from a
+  // replay that ran every target to completion, so it pins both the
+  // events replayed and the arithmetic of each answer.
+  Fnv1a digest;
+  for (const std::uint64_t seed : {2016u, 2017u}) {
+    prionn::trace::WorkloadGenerator gen(
+        prionn::trace::WorkloadOptions::cab(1500, seed));
+    const auto records = prionn::trace::completed_jobs(gen.generate());
+    std::vector<sc::SimJob> jobs;
+    for (std::size_t i = 0; i < records.size(); ++i)
+      jobs.push_back(job(i, records[i].submit_time,
+                         std::max<std::uint32_t>(1, records[i].requested_nodes),
+                         std::max(1.0, records[i].runtime_minutes * 60.0),
+                         std::max(1.0, records[i].requested_minutes * 60.0)));
+    const auto predicted = [&jobs](std::uint64_t id) {
+      return jobs[id].believed_runtime;
+    };
+    for (const std::uint32_t nodes : {400u, 1296u}) {
+      for (const bool backfill : {true, false}) {
+        sc::ClusterSimulator sim({nodes, backfill});
+        for (const auto& j : jobs) {
+          sim.submit(j);
+          digest.add(sim.snapshot_turnaround(j.id, predicted));
+          digest.add(sim.snapshot_turnaround(jobs.size() + j.id, predicted));
+        }
+        sim.drain();
+        for (const auto& s : sim.completed()) {
+          digest.add(s.id);
+          digest.add(s.submit_time);
+          digest.add(s.start_time);
+          digest.add(s.end_time);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest.h, 0x8e31a6960b43986dull) << std::hex << digest.h;
 }
 
 // ----------------------------------------------------------- timeline ---

@@ -7,7 +7,7 @@
 #   tools/check_all.sh address thread  # just those sanitizer suites
 #
 # Stages: format, tidy, release, obs-off, address, undefined, thread,
-# tsa, serve, fuzz-smoke.
+# tsa, serve, fuzz-smoke, bench-smoke.
 # Stages whose tooling is unavailable (no clang-format / clang-tidy /
 # clang++ on PATH) are reported as SKIPPED and do not fail the gate;
 # sanitizer and test stages always run and must pass.
@@ -28,7 +28,7 @@ serve_tests+='|ResilientOnline|ResilienceAcceptance|ThreadCountIndependence'
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
   stages=(format tidy release obs-off address undefined thread tsa serve
-          fuzz-smoke)
+          fuzz-smoke bench-smoke)
 fi
 
 declare -a results=()
@@ -168,10 +168,17 @@ for stage in "${stages[@]}"; do
         record "SKIP  fuzz-smoke (clang++ not on PATH)"
       fi
       ;;
+    bench-smoke)
+      # The benchmark's own tests: every workload at smoke scale, built
+      # from this checkout the way perfbench/run.py builds it.
+      note "bench smoke (python3 perfbench/test_perfbench.py)"
+      python3 perfbench/test_perfbench.py
+      record "PASS  bench-smoke"
+      ;;
     *)
       echo "unknown stage: $stage" >&2
       echo "stages: format tidy release obs-off address undefined thread" \
-           "tsa serve fuzz-smoke" >&2
+           "tsa serve fuzz-smoke bench-smoke" >&2
       exit 2
       ;;
   esac
