@@ -9,7 +9,8 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "sched/io_aware.hpp"
+#include "sched/cluster.hpp"
+#include "sched/io_timeline.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -17,26 +18,32 @@ using namespace prionn;
 
 namespace {
 
-std::vector<sched::IoSimJob> to_io_jobs(
+std::vector<double> actual_bandwidths(
+    const std::vector<trace::JobRecord>& jobs) {
+  std::vector<double> out;
+  out.reserve(jobs.size());
+  for (const auto& j : jobs)
+    out.push_back(j.read_bandwidth() + j.write_bandwidth());
+  return out;
+}
+
+std::vector<sched::SimJob> to_sim_jobs(
     const std::vector<trace::JobRecord>& jobs,
     const std::vector<core::JobPrediction>& predictions,
-    bool use_oracle_bandwidth) {
-  std::vector<sched::IoSimJob> out;
+    const std::vector<double>& actual_bandwidth, bool use_oracle_bandwidth) {
+  std::vector<sched::SimJob> out;
   out.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    sched::IoSimJob j;
-    j.base.id = i;
-    j.base.submit_time = jobs[i].submit_time;
-    j.base.nodes = std::max<std::uint32_t>(1, jobs[i].requested_nodes);
-    j.base.runtime = jobs[i].runtime_minutes * 60.0;
-    j.base.believed_runtime = predictions[i].runtime_minutes * 60.0;
-    j.actual_bandwidth =
-        jobs[i].read_bandwidth() + jobs[i].write_bandwidth();
-    j.predicted_bandwidth =
-        use_oracle_bandwidth
-            ? j.actual_bandwidth
-            : predictions[i].read_bandwidth() +
-                  predictions[i].write_bandwidth();
+    sched::SimJob j;
+    j.id = i;
+    j.submit_time = jobs[i].submit_time;
+    j.nodes = std::max<std::uint32_t>(1, jobs[i].requested_nodes);
+    j.runtime = jobs[i].runtime_minutes * 60.0;
+    j.believed_runtime = predictions[i].runtime_minutes * 60.0;
+    j.io_bandwidth = use_oracle_bandwidth
+                         ? actual_bandwidth[i]
+                         : predictions[i].read_bandwidth() +
+                               predictions[i].write_bandwidth();
     out.push_back(j);
   }
   return out;
@@ -58,36 +65,36 @@ int main(int argc, char** argv) {
 
   const auto run = bench::shared_run(n_jobs, epochs, args.seed);
   const auto dense = run.dense_predictions();
+  const auto actual_bw = actual_bandwidths(run.jobs);
+  const auto oracle_jobs =
+      to_sim_jobs(run.jobs, dense, actual_bw, /*oracle=*/true);
 
   // Cap at the burst threshold of the oblivious schedule's realised IO:
   // exactly the contention level the paper flags as a burst.
-  sched::IoAwareSimulator oblivious_sim({1296, 0.0, true, 4.0 * 3600.0});
   const auto oblivious =
-      oblivious_sim.run(to_io_jobs(run.jobs, dense, /*oracle=*/true));
-  const std::span<const double> series(oblivious.actual_io_series);
+      sched::ClusterSimulator({1296, true}).run(oracle_jobs);
+  const auto oblivious_io =
+      sched::schedule_outcome(oblivious, actual_bw, 0.0).actual_io_series;
+  const std::span<const double> series(oblivious_io);
   const double cap = util::mean(series) + util::stddev(series);
 
   util::Table table({"policy", "over-cap minutes", "mean wait (min)",
                      "mean slowdown"});
-  const auto report = [&](const char* name, const sched::IoAwareResult& r) {
-    table.add_row(
-        {name,
-         std::to_string(r.oversubscribed_minutes > 0
-                            ? r.oversubscribed_minutes
-                            : sched::count_over_cap_minutes(
-                                  r.actual_io_series, cap)),
-         util::fmt(r.mean_wait_seconds / 60.0, 2),
-         util::fmt(r.mean_slowdown, 2)});
+  const auto report = [&](const char* name,
+                          const std::vector<sched::ScheduledJob>& schedule) {
+    const auto r = sched::schedule_outcome(schedule, actual_bw, cap);
+    table.add_row({name, std::to_string(r.oversubscribed_minutes),
+                   util::fmt(r.mean_wait_seconds / 60.0, 2),
+                   util::fmt(r.mean_slowdown, 2)});
   };
   report("oblivious (no IO awareness)", oblivious);
 
-  sched::IoAwareSimulator oracle_sim({1296, cap, true, 4.0 * 3600.0});
+  const sched::ClusterOptions aware{1296, true, cap, 4.0 * 3600.0};
   report("IO-aware, oracle bandwidths",
-         oracle_sim.run(to_io_jobs(run.jobs, dense, /*oracle=*/true)));
-
-  sched::IoAwareSimulator prionn_sim({1296, cap, true, 4.0 * 3600.0});
+         sched::ClusterSimulator(aware).run(oracle_jobs));
   report("IO-aware, PRIONN bandwidths",
-         prionn_sim.run(to_io_jobs(run.jobs, dense, /*oracle=*/false)));
+         sched::ClusterSimulator(aware).run(
+             to_sim_jobs(run.jobs, dense, actual_bw, /*oracle=*/false)));
 
   std::printf("IO cap for admission: %.3e B/s (mean + 1 sigma of the "
               "oblivious schedule)\n\n", cap);

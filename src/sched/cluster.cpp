@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace prionn::sched {
 
 namespace {
@@ -16,11 +18,22 @@ ClusterSimulator::ClusterSimulator(ClusterOptions options)
     : options_(options), free_nodes_(options.total_nodes) {
   if (options_.total_nodes == 0)
     throw std::invalid_argument("ClusterSimulator: need at least one node");
+  if (options_.io_cap < 0.0)
+    throw std::invalid_argument("ClusterSimulator: io_cap must be >= 0");
 }
 
-double ClusterSimulator::next_completion_time() const noexcept {
+bool ClusterSimulator::io_fits(double bandwidth) const noexcept {
+  return options_.io_cap <= 0.0 || io_in_use_ + bandwidth <= options_.io_cap;
+}
+
+double ClusterSimulator::next_event_time() const noexcept {
+  // Two event sources: job completions, and the release of an IO-held
+  // head (which must fire even when nothing is running). A release that
+  // has passed belongs to a head that has since lost its nodes; it waits
+  // for a completion instead.
   double t = kInfinity;
   for (const auto& r : running_) t = std::min(t, r.actual_end);
+  if (head_release_ > now_) t = std::min(t, head_release_);
   return t;
 }
 
@@ -33,6 +46,12 @@ void ClusterSimulator::complete_due_jobs() {
       completed_.push_back(
           ScheduledJob{r.id, r.submit, r.start, r.actual_end});
       free_nodes_ += r.nodes;
+      if (options_.io_cap > 0.0) {
+        io_in_use_ -= r.io_bandwidth;
+        PRIONN_OBS_GAUGE_SET("prionn_sched_predicted_io_in_use",
+                             "predicted bandwidth of the running set",
+                             io_in_use_);
+      }
       running_[i] = running_.back();
       running_.pop_back();
     } else {
@@ -50,22 +69,36 @@ void ClusterSimulator::start_job(const SimJob& job, std::size_t queue_pos) {
   r.submit = job.submit_time;
   r.actual_end = now_ + std::max(job.runtime, kMinRemaining);
   r.believed_end = now_ + std::max(job.believed_runtime, kMinRemaining);
+  r.io_bandwidth = job.io_bandwidth;
+  if (options_.io_cap > 0.0) {
+    io_in_use_ += r.io_bandwidth;
+    PRIONN_OBS_INC("prionn_sched_jobs_started_total",
+                   "jobs dispatched by the IO-aware scheduler");
+    PRIONN_OBS_GAUGE_SET("prionn_sched_predicted_io_in_use",
+                         "predicted bandwidth of the running set",
+                         io_in_use_);
+  }
   running_.push_back(r);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(queue_pos));
+  if (queue_pos == 0) head_release_ = -1.0;
 }
 
 void ClusterSimulator::try_start_jobs() {
-  // FCFS: start queue-head jobs while they fit.
+  // FCFS: start queue-head jobs while their nodes and predicted IO fit. A
+  // head that has its nodes but is held back by IO alone starts anyway at
+  // its hold release, which bounds starvation.
   while (!queue_.empty() && queue_.front().nodes <= free_nodes_) {
-    if (queue_.front().nodes > options_.total_nodes)
-      throw std::invalid_argument(
-          "ClusterSimulator: job larger than the machine");
+    if (!io_fits(queue_.front().io_bandwidth)) {
+      if (head_release_ < 0.0) {
+        head_release_ = now_ + options_.max_io_hold;
+        PRIONN_OBS_INC("prionn_sched_io_holds_total",
+                       "queue heads held back by the IO-admission gate");
+      }
+      if (now_ < head_release_) break;
+    }
     start_job(queue_.front(), 0);
   }
   if (queue_.empty() || !options_.easy_backfill) return;
-  if (queue_.front().nodes > options_.total_nodes)
-    throw std::invalid_argument(
-        "ClusterSimulator: job larger than the machine");
   // Backfill only starts candidates that fit the free nodes now, and
   // starting one only shrinks them: if none fits, nothing can start.
   if (std::none_of(queue_.begin() + 1, queue_.end(), [this](const SimJob& j) {
@@ -91,13 +124,15 @@ void ClusterSimulator::try_start_jobs() {
     shadow_time = end;
   }
   // Nodes that can be used by backfilled jobs without delaying the head's
-  // reservation: the surplus at shadow time.
+  // reservation: the surplus at shadow time. The reservation follows the
+  // node dimension only: IO head-blocking is bounded by max_io_hold rather
+  // than reserved against.
   const std::uint32_t extra_nodes =
       available >= head_nodes ? available - head_nodes : 0;
 
   for (std::size_t i = 1; i < queue_.size();) {
     const SimJob& candidate = queue_[i];
-    if (candidate.nodes <= free_nodes_) {
+    if (candidate.nodes <= free_nodes_ && io_fits(candidate.io_bandwidth)) {
       const double believed_end =
           now_ + std::max(candidate.believed_runtime, kMinRemaining);
       const bool fits_before_shadow = believed_end <= shadow_time + 1e-9;
@@ -114,7 +149,7 @@ void ClusterSimulator::try_start_jobs() {
 void ClusterSimulator::advance_to(double time) {
   if (time < now_) return;
   for (;;) {
-    const double next = next_completion_time();
+    const double next = next_event_time();
     if (next > time) break;
     now_ = next;
     complete_due_jobs();
@@ -127,6 +162,9 @@ void ClusterSimulator::submit(const SimJob& job) {
   if (job.submit_time < now_)
     throw std::invalid_argument(
         "ClusterSimulator::submit: out-of-order submission");
+  if (job.nodes > options_.total_nodes)
+    throw std::invalid_argument(
+        "ClusterSimulator::submit: job larger than the machine");
   advance_to(job.submit_time);
   queue_.push_back(job);
   try_start_jobs();
@@ -134,18 +172,19 @@ void ClusterSimulator::submit(const SimJob& job) {
 
 void ClusterSimulator::drain() {
   while (!idle()) {
-    const double next = next_completion_time();
-    if (next == kInfinity) {
-      // Queue non-empty but nothing running: should be impossible unless a
-      // job is larger than the machine, which submit()/try_start throw on.
+    const double next = next_event_time();
+    // Every queued job fits the machine (submit() checks), so with nothing
+    // running the head either starts or is IO-held until a finite release;
+    // only an infinite max_io_hold can leave no next event.
+    if (next == kInfinity)
       throw std::logic_error("ClusterSimulator::drain: deadlocked queue");
-    }
     advance_to(next);
   }
 }
 
 std::vector<ScheduledJob> ClusterSimulator::run(
     const std::vector<SimJob>& jobs) {
+  PRIONN_OBS_SPAN("sched.run");
   for (const auto& job : jobs) submit(job);
   drain();
   return completed_;
@@ -159,6 +198,8 @@ double ClusterSimulator::snapshot_turnaround(
   ClusterSimulator clone(options_);
   clone.now_ = now_;
   clone.free_nodes_ = free_nodes_;
+  clone.io_in_use_ = io_in_use_;
+  clone.head_release_ = head_release_;
   clone.running_ = running_;
   clone.queue_ = queue_;
 
@@ -180,7 +221,7 @@ double ClusterSimulator::snapshot_turnaround(
   }
 
   // The clone's runtimes are the predictions, so the target's end is fixed
-  // the moment it starts. Replay one completion at a time until then: a
+  // the moment it starts. Replay one event at a time until then: a
   // job started inside advance_to(next) ends at least a second after
   // `next`, so the target cannot also complete within that step.
   for (;;) {
@@ -192,7 +233,7 @@ double ClusterSimulator::snapshot_turnaround(
                  ? target->actual_end - target->submit
                  : -1.0;
     if (!queued) return -1.0;
-    const double next = clone.next_completion_time();
+    const double next = clone.next_event_time();
     if (next == kInfinity) return -1.0;
     clone.advance_to(next);
   }

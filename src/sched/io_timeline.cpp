@@ -37,4 +37,35 @@ void IoTimeline::add(const std::vector<IoInterval>& intervals) {
   for (const auto& i : intervals) add(i);
 }
 
+ScheduleOutcome schedule_outcome(const std::vector<ScheduledJob>& schedule,
+                                 std::span<const double> actual_bandwidth,
+                                 double io_cap) {
+  IoTimeline timeline(60.0);
+  double wait_sum = 0.0, slowdown_sum = 0.0;
+  for (const auto& s : schedule) {
+    wait_sum += s.wait();
+    const double runtime = s.end_time - s.start_time;
+    slowdown_sum += (s.wait() + runtime) / std::max(runtime, 60.0);
+    const double bw =
+        s.id < actual_bandwidth.size() ? actual_bandwidth[s.id] : 0.0;
+    timeline.add({s.start_time, s.end_time, bw});
+  }
+  ScheduleOutcome out;
+  out.actual_io_series = timeline.series();
+  const auto n = static_cast<double>(std::max<std::size_t>(1, schedule.size()));
+  out.mean_wait_seconds = wait_sum / n;
+  out.mean_slowdown = slowdown_sum / n;
+  out.oversubscribed_minutes =
+      io_cap > 0.0 ? count_over_cap_minutes(out.actual_io_series, io_cap) : 0;
+  return out;
+}
+
+std::size_t count_over_cap_minutes(const std::vector<double>& series,
+                                   double cap) noexcept {
+  std::size_t count = 0;
+  for (const double v : series)
+    if (v > cap) ++count;
+  return count;
+}
+
 }  // namespace prionn::sched

@@ -5,7 +5,10 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
+
+#include "sched/sim_job.hpp"
 
 namespace prionn::sched {
 
@@ -37,5 +40,27 @@ class IoTimeline {
   double bucket_seconds_;
   std::vector<double> buckets_;
 };
+
+/// Outcome of a realised schedule (the IO-aware scheduling comparison).
+struct ScheduleOutcome {
+  /// Realised aggregate IO per minute bucket (actual bandwidths).
+  std::vector<double> actual_io_series;
+  double mean_wait_seconds = 0.0;
+  /// Bounded slowdown: (wait + runtime) / max(runtime, 60 s), averaged.
+  double mean_slowdown = 0.0;
+  /// Minutes whose realised aggregate IO exceeded `io_cap` (0 if the cap
+  /// is not positive).
+  std::size_t oversubscribed_minutes = 0;
+};
+
+/// Score `schedule`; `actual_bandwidth[id]` is job `id`'s actual bytes/s
+/// (0 for ids beyond it).
+ScheduleOutcome schedule_outcome(const std::vector<ScheduledJob>& schedule,
+                                 std::span<const double> actual_bandwidth,
+                                 double io_cap);
+
+/// Number of buckets of `series` above `cap`.
+std::size_t count_over_cap_minutes(const std::vector<double>& series,
+                                   double cap) noexcept;
 
 }  // namespace prionn::sched

@@ -1,6 +1,7 @@
 // The scheduler simulator's view of a job: what the batch system knows
 // (submit time, node count, a *believed* runtime — user request or a
-// PRIONN prediction) plus the actual runtime that drives completions.
+// PRIONN prediction — and a predicted IO bandwidth) plus the actual
+// runtime that drives completions.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@ struct SimJob {
   std::uint32_t nodes = 1;
   double runtime = 0.0;           // actual runtime, seconds
   double believed_runtime = 0.0;  // estimate used for scheduling decisions
+  double io_bandwidth = 0.0;      // predicted bytes/s, drives IO admission
 };
 
 /// The simulator's output for one job.

@@ -7,10 +7,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "sched/burst.hpp"
 #include "sched/cluster.hpp"
-#include "sched/io_aware.hpp"
 #include "sched/io_timeline.hpp"
 #include "trace/workload.hpp"
 #include "util/rng.hpp"
@@ -180,6 +181,18 @@ TEST(Cluster, OutOfOrderSubmissionThrows) {
 TEST(Cluster, OversizedJobThrows) {
   sc::ClusterSimulator sim({4, true});
   EXPECT_THROW(sim.run({job(1, 0.0, 5, 10.0)}), std::invalid_argument);
+}
+
+TEST(Cluster, OversizedJobThrowsWithoutBackfill) {
+  // Without backfill an oversized head would starve every later job; it
+  // is rejected at submission instead of deadlocking the drain.
+  sc::ClusterSimulator sim({4, false});
+  sim.submit(job(1, 0.0, 4, 100.0));
+  EXPECT_THROW(sim.submit(job(2, 1.0, 5, 10.0)), std::invalid_argument);
+  EXPECT_EQ(sim.queued_count(), 0u);
+  sim.submit(job(3, 2.0, 2, 10.0));
+  sim.drain();
+  EXPECT_EQ(sim.completed().size(), 2u);
 }
 
 TEST(Cluster, OversizedHeadThrowsWhenNoCandidateFits) {
@@ -537,49 +550,87 @@ TEST(Burst, NoActualBurstsGivesZeroSensitivityDenominator) {
 
 namespace {
 
-sc::IoSimJob io_job(std::uint64_t id, double submit, std::uint32_t nodes,
-                    double runtime, double bw) {
-  sc::IoSimJob j;
-  j.base = job(id, submit, nodes, runtime);
-  j.predicted_bandwidth = bw;
-  j.actual_bandwidth = bw;
+sc::SimJob io_job(std::uint64_t id, double submit, std::uint32_t nodes,
+                  double runtime, double bw) {
+  sc::SimJob j = job(id, submit, nodes, runtime);
+  j.io_bandwidth = bw;
   return j;
+}
+
+/// Actual bandwidths by id; the tests predict them perfectly.
+std::vector<double> bandwidths_of(const std::vector<sc::SimJob>& jobs) {
+  std::vector<double> bw(jobs.size(), 0.0);
+  for (const auto& j : jobs)
+    if (j.id < bw.size()) bw[j.id] = j.io_bandwidth;
+  return bw;
+}
+
+struct IoRun {
+  std::vector<sc::ScheduledJob> schedule;
+  sc::ScheduleOutcome outcome;
+};
+
+IoRun run_io(const sc::ClusterOptions& options,
+             const std::vector<sc::SimJob>& jobs) {
+  IoRun r;
+  r.schedule = sc::ClusterSimulator(options).run(jobs);
+  r.outcome = sc::schedule_outcome(r.schedule, bandwidths_of(jobs),
+                                   options.io_cap);
+  return r;
+}
+
+/// A 900-job Cab trace with perfectly predicted IO bandwidths, and the
+/// mean of those bandwidths.
+std::pair<std::vector<sc::SimJob>, double> cab_io_jobs(std::uint64_t seed) {
+  prionn::trace::WorkloadGenerator gen(
+      prionn::trace::WorkloadOptions::cab(900, seed));
+  const auto records = prionn::trace::completed_jobs(gen.generate());
+  std::vector<sc::SimJob> jobs;
+  double bw_sum = 0.0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    sc::SimJob j = job(i, records[i].submit_time,
+                       std::max<std::uint32_t>(1, records[i].requested_nodes),
+                       std::max(1.0, records[i].runtime_minutes * 60.0),
+                       std::max(1.0, records[i].requested_minutes * 60.0));
+    j.io_bandwidth = records[i].read_bandwidth() + records[i].write_bandwidth();
+    bw_sum += j.io_bandwidth;
+    jobs.push_back(j);
+  }
+  return {jobs, bw_sum / static_cast<double>(jobs.size())};
 }
 
 }  // namespace
 
 TEST(IoAware, ZeroCapBehavesLikePlainScheduler) {
-  sc::IoAwareSimulator sim({4, 0.0, true, 3600.0});
-  const auto result = sim.run({io_job(1, 0.0, 2, 100.0, 1e9),
-                               io_job(2, 0.0, 2, 100.0, 1e9)});
+  const auto result = run_io({4, true, 0.0, 3600.0},
+                             {io_job(1, 0.0, 2, 100.0, 1e9),
+                              io_job(2, 0.0, 2, 100.0, 1e9)});
   ASSERT_EQ(result.schedule.size(), 2u);
   for (const auto& s : result.schedule) EXPECT_DOUBLE_EQ(s.start_time, 0.0);
-  EXPECT_EQ(result.oversubscribed_minutes, 0u);  // cap disabled
+  EXPECT_EQ(result.outcome.oversubscribed_minutes, 0u);  // cap disabled
 }
 
 TEST(IoAware, CapSerialisesIoHeavyJobs) {
   // Two IO-heavy jobs that fit node-wise but together exceed the cap:
   // the IO-aware policy must run them one after the other.
-  sc::IoAwareSimulator sim({8, 100.0, true, 3600.0});
-  const auto result = sim.run({io_job(1, 0.0, 2, 120.0, 80.0),
-                               io_job(2, 0.0, 2, 120.0, 80.0)});
+  const auto result = run_io({8, true, 100.0, 3600.0},
+                             {io_job(1, 0.0, 2, 120.0, 80.0),
+                              io_job(2, 0.0, 2, 120.0, 80.0)});
   ASSERT_EQ(result.schedule.size(), 2u);
   const double s0 = result.schedule[0].start_time;
   const double s1 = result.schedule[1].start_time;
   EXPECT_NEAR(std::abs(s1 - s0), 120.0, 1.0);
-  EXPECT_EQ(result.oversubscribed_minutes, 0u);
+  EXPECT_EQ(result.outcome.oversubscribed_minutes, 0u);
 }
 
 TEST(IoAware, LowIoJobsBackfillPastIoBlockedHead) {
   // Head blocked on IO; a later low-IO job can still run.
-  sc::IoAwareSimulator sim({8, 100.0, true, 3600.0});
-  const auto result = sim.run({
+  const auto result = run_io({8, true, 100.0, 3600.0}, {
       io_job(1, 0.0, 2, 300.0, 90.0),  // running, nearly saturates the cap
       io_job(2, 1.0, 2, 100.0, 50.0),  // head: blocked on IO
       io_job(3, 2.0, 2, 100.0, 5.0),   // low IO: should backfill
   });
-  std::map<std::uint64_t, sc::ScheduledJob> by;
-  for (const auto& s : result.schedule) by[s.id] = s;
+  const auto by = by_id(result.schedule);
   EXPECT_GE(by.at(2).start_time, 300.0);  // waits for job 1's bandwidth
   EXPECT_NEAR(by.at(3).start_time, 2.0, 1.0);
 }
@@ -587,17 +638,39 @@ TEST(IoAware, LowIoJobsBackfillPastIoBlockedHead) {
 TEST(IoAware, StarvationGuardReleasesHead) {
   // A single job whose predicted IO alone exceeds the cap must still run
   // once the hold bound expires.
-  sc::IoAwareSimulator sim({4, 10.0, true, /*max_io_hold=*/60.0});
-  const auto result = sim.run({io_job(1, 0.0, 1, 50.0, 1e6)});
+  const auto result = run_io({4, true, 10.0, /*max_io_hold=*/60.0},
+                             {io_job(1, 0.0, 1, 50.0, 1e6)});
   ASSERT_EQ(result.schedule.size(), 1u);
   EXPECT_LE(result.schedule[0].start_time, 61.0);
+}
+
+TEST(IoAware, HoldExpiryStartsHeadOnRoundedInstant) {
+  // submit + hold - submit != hold for this submit time: a start check
+  // that recomputes the elapsed hold misses the release event it fired
+  // on. The head must start exactly at the stored release instant.
+  const double submit = 43.010378886099154;
+  ASSERT_NE((submit + 60.0) - submit, 60.0);
+  const auto result = run_io({4, true, 10.0, /*max_io_hold=*/60.0},
+                             {io_job(1, submit, 1, 50.0, 1e6)});
+  ASSERT_EQ(result.schedule.size(), 1u);
+  EXPECT_EQ(result.schedule[0].start_time, submit + 60.0);
+}
+
+TEST(IoAware, StaleHoldDoesNotStallDrain) {
+  // On this trace a queue head is IO-held, then loses its nodes to
+  // backfilled jobs before its release; the drain must wait for the next
+  // completion instead of revisiting the passed release forever.
+  const auto [jobs, mean_bw] = cab_io_jobs(1);
+  const auto result = run_io({300, true, 2.0 * mean_bw, 600.0}, jobs);
+  ASSERT_EQ(result.schedule.size(), jobs.size());
+  for (const auto& s : result.schedule) EXPECT_GE(s.start_time, s.submit_time);
 }
 
 TEST(IoAware, ReducesOversubscriptionVsObliviousPolicy) {
   // Property at workload scale: with accurate predictions, the IO-aware
   // policy produces no more over-cap minutes than the oblivious one.
   prionn::util::Rng rng(11);
-  std::vector<sc::IoSimJob> jobs;
+  std::vector<sc::SimJob> jobs;
   double t = 0.0;
   for (std::uint64_t i = 0; i < 150; ++i) {
     t += rng.exponential(0.01);
@@ -608,32 +681,61 @@ TEST(IoAware, ReducesOversubscriptionVsObliviousPolicy) {
                                               : rng.uniform(0.1, 5.0)));
   }
   const double cap = 120.0;
-  sc::IoAwareSimulator oblivious({16, 0.0, true, 3600.0});
-  sc::IoAwareSimulator aware({16, cap, true, 3600.0});
-  const auto r_oblivious = oblivious.run(jobs);
-  const auto r_aware = aware.run(jobs);
+  const auto r_oblivious = run_io({16, true, 0.0, 3600.0}, jobs);
+  const auto r_aware = run_io({16, true, cap, 3600.0}, jobs);
   const auto over_oblivious =
-      sc::count_over_cap_minutes(r_oblivious.actual_io_series, cap);
+      sc::count_over_cap_minutes(r_oblivious.outcome.actual_io_series, cap);
   const auto over_aware =
-      sc::count_over_cap_minutes(r_aware.actual_io_series, cap);
+      sc::count_over_cap_minutes(r_aware.outcome.actual_io_series, cap);
   EXPECT_LE(over_aware, over_oblivious);
   // Both policies complete every job.
   EXPECT_EQ(r_aware.schedule.size(), jobs.size());
   EXPECT_EQ(r_oblivious.schedule.size(), jobs.size());
   // The IO-aware policy trades some wait time for the IO guarantee.
-  EXPECT_GE(r_aware.mean_wait_seconds, r_oblivious.mean_wait_seconds - 1.0);
+  EXPECT_GE(r_aware.outcome.mean_wait_seconds,
+            r_oblivious.outcome.mean_wait_seconds - 1.0);
 }
 
 TEST(IoAware, RejectsBadOptions) {
-  EXPECT_THROW(sc::IoAwareSimulator({0, 0.0, true, 1.0}),
+  EXPECT_THROW(sc::ClusterSimulator({0, true, 0.0, 1.0}),
                std::invalid_argument);
-  EXPECT_THROW(sc::IoAwareSimulator({4, -1.0, true, 1.0}),
+  EXPECT_THROW(sc::ClusterSimulator({4, true, -1.0, 1.0}),
                std::invalid_argument);
 }
 
 TEST(IoAware, CountOverCapMinutes) {
   EXPECT_EQ(sc::count_over_cap_minutes({1.0, 5.0, 3.0}, 2.0), 2u);
   EXPECT_EQ(sc::count_over_cap_minutes({}, 2.0), 0u);
+}
+
+TEST(IoAware, SweepMatchesPinnedDigest) {
+  // Schedules and outcome metrics over two Cab traces at a contended and
+  // an uncontended node count, backfill on and off, IO caps of 0, 2, 10
+  // and 40 times the mean job bandwidth, and holds of 10 minutes and 4
+  // hours: 64 configurations, about 25k jobs that wait. The digest pins
+  // the IO-aware schedules bit for bit.
+  Fnv1a digest;
+  for (const std::uint64_t seed : {1u, 2016u}) {
+    const auto [jobs, mean_bw] = cab_io_jobs(seed);
+    for (const std::uint32_t nodes : {300u, 1296u})
+      for (const bool backfill : {true, false})
+        for (const double cap : {0.0, 2.0, 10.0, 40.0})
+          for (const double hold : {600.0, 4.0 * 3600.0}) {
+            const auto r = run_io({nodes, backfill, cap * mean_bw, hold}, jobs);
+            for (const auto& s : r.schedule) {
+              digest.add(s.id);
+              digest.add(s.submit_time);
+              digest.add(s.start_time);
+              digest.add(s.end_time);
+            }
+            for (const double v : r.outcome.actual_io_series) digest.add(v);
+            digest.add(r.outcome.mean_wait_seconds);
+            digest.add(r.outcome.mean_slowdown);
+            digest.add(static_cast<std::uint64_t>(
+                r.outcome.oversubscribed_minutes));
+          }
+  }
+  EXPECT_EQ(digest.h, 0x94dce5a212938b98ull) << std::hex << digest.h;
 }
 
 // -------------------------------------------- end-to-end trace replay ---

@@ -173,6 +173,18 @@ for stage in "${stages[@]}"; do
       # from this checkout the way perfbench/run.py builds it.
       note "bench smoke (python3 perfbench/test_perfbench.py)"
       python3 perfbench/test_perfbench.py
+      # The only non-test callers of the IO-aware admission path and the
+      # snapshot-turnaround path, at a small scale; the timeout turns a
+      # scheduler livelock into a failure. They run inside the build dir,
+      # which keeps their phase-1 cache and telemetry files there.
+      note "bench smoke: fig11_turnaround, tableD_io_aware_scheduler"
+      cmake -B build-check-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+      cmake --build build-check-bench -j "$jobs" \
+        --target fig11_turnaround tableD_io_aware_scheduler
+      for bench in fig11_turnaround tableD_io_aware_scheduler; do
+        (cd build-check-bench &&
+          timeout 600 "./bench/$bench" --jobs=400 --epochs=1)
+      done
       record "PASS  bench-smoke"
       ;;
     *)
