@@ -14,17 +14,20 @@
 namespace prionn::nn {
 
 namespace {
-// Lowered-patch buffers are processed in sub-batches bounded to this many
-// floats so the one-hot transform (128 input channels) cannot blow memory.
+// The backward pass runs in sub-batches whose d(cols) matrix stays within
+// this many floats, so the one-hot transform (128 input channels) cannot
+// blow memory. The split also fixes where the weight gradient's depth
+// blocks start, so it is part of the arithmetic.
 constexpr std::size_t kMaxColsFloats = 16u << 20;  // 64 MiB
 
-/// Lowering scratch of the calling thread, shared by every Conv2d of every
+/// Backward scratch of the calling thread, shared by every Conv2d of every
 /// network it runs. Layer calls never nest, so one grow-only set per thread
 /// serves them all: a retrain sizes it once for the widest layer instead of
-/// allocating ~19 MB per forward and backward, and keeps no per-layer copy.
+/// allocating per call, and keeps no per-layer copy. The patch matrix
+/// itself is never stored: the forward and the weight gradient lower it
+/// panel by panel inside the GEMM.
 struct Scratch {
-  std::vector<float> cols;       // lowered patches (pr x wide)
-  std::vector<float> wide;       // GEMM output, or dY gathered (oc x wide)
+  std::vector<float> dy;         // dY gathered (oc x wide)
   std::vector<float> grad_cols;  // d(cols) (pr x wide)
 };
 
@@ -36,6 +39,15 @@ Scratch& scratch() {
 float* grown(std::vector<float>& buffer, std::size_t floats) {
   if (buffer.size() < floats) buffer.resize(floats);
   return buffer.data();
+}
+
+/// The patch matrix of the batch at `images` as a GEMM operand.
+tensor::BlockSource patches(const tensor::Conv2dGeom& g,
+                            const float* images) {
+  return [&g, images](std::size_t r0, std::size_t r1, std::size_t c0,
+                      std::size_t c1, float* out, std::size_t ld) {
+    tensor::im2col_block(g, images, r0, r1, c0, c1, out, ld);
+  };
 }
 }  // namespace
 
@@ -100,47 +112,31 @@ Tensor Conv2d::forward(Tensor&& input, bool /*training*/) {
   const std::size_t pr = geom_.patch_rows();
   const std::size_t pixels = geom_.patch_cols();
   const std::size_t oc = out_channels();
-  const std::size_t in_stride = geom_.channels * geom_.height * geom_.width;
   Tensor out({batch, oc, geom_.out_h(), geom_.out_w()});
 
-  // Lower a sub-batch of images into one wide patch matrix and run a
-  // single GEMM per sub-batch: cols is (pr x chunk*pixels) with each
-  // sample occupying a contiguous column block, and the weight matrix
-  // (oc x pr) multiplies it in one call. This amortises the GEMM across
-  // the whole batch instead of issuing tiny per-sample multiplies.
-  const std::size_t chunk =
-      std::clamp<std::size_t>(kMaxColsFloats / (pr * pixels), 1, batch);
-  Scratch& buffers = scratch();
-  float* cols = grown(buffers.cols, pr * chunk * pixels);
-  float* gemm_out = grown(buffers.wide, oc * chunk * pixels);
-  const tensor::Conv2dGeom g = geom_;
+  // Implicit GEMM: Y (oc x batch*pixels) = W (oc x pr) * patches, where
+  // each sample's pixels occupy a contiguous column range of the patch
+  // matrix. The GEMM lowers each cache-sized panel of it straight from the
+  // images, and each finished column block is scattered to its samples'
+  // (oc, pixels) slices with the bias while it is still in cache.
   const float* bias = bias_.data();
-  for (std::size_t base = 0; base < batch; base += chunk) {
-    const std::size_t n = std::min(chunk, batch - base);
-    const std::size_t wide = n * pixels;
-    const float* in = input_.data() + base * in_stride;
-    float* y = out.data() + base * oc * pixels;
-    // Each sample owns its column block of cols and its slice of out, so
-    // the lowering and the bias scatter split over samples bit-exactly.
-    for_each_sample(n, pr * pixels, [=](std::size_t lo, std::size_t hi) {
-      // Sample s's patch rows are strided by the full sub-batch width.
-      for (std::size_t s = lo; s < hi; ++s)
-        tensor::im2col_strided(g, in + s * in_stride, cols + s * pixels,
-                               wide);
-    });
-    tensor::gemm(oc, pr, wide, 1.0f, weight_.data(), cols, 0.0f, gemm_out);
-    // Scatter (oc x n*pixels) back to (n, oc, pixels) layout with bias.
-    for_each_sample(n, oc * pixels, [=](std::size_t lo, std::size_t hi) {
-      for (std::size_t s = lo; s < hi; ++s) {
-        for (std::size_t c = 0; c < oc; ++c) {
-          const float b = bias[c];
-          const float* block = gemm_out + c * wide + s * pixels;
-          float* dst = y + (s * oc + c) * pixels;
-          for (std::size_t p = 0; p < pixels; ++p) dst[p] = block[p] + b;
+  float* y = out.data();
+  tensor::gemm(
+      oc, pr, batch * pixels, weight_.data(), patches(geom_, input_.data()),
+      [=](std::size_t q0, std::size_t q1, const float* block,
+          std::size_t ld) {
+        for (std::size_t q = q0; q < q1;) {
+          const std::size_t s = q / pixels, p = q % pixels;
+          const std::size_t run = std::min(q1 - q, pixels - p);
+          for (std::size_t c = 0; c < oc; ++c) {
+            const float b = bias[c];
+            const float* src = block + c * ld + (q - q0);
+            float* dst = y + (s * oc + c) * pixels + p;
+            for (std::size_t i = 0; i < run; ++i) dst[i] = src[i] + b;
+          }
+          q += run;
         }
-      }
-    });
-  }
+      });
   return out;
 }
 
@@ -176,8 +172,7 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output,
   const std::size_t chunk =
       std::clamp<std::size_t>(kMaxColsFloats / (pr * pixels), 1, batch);
   Scratch& buffers = scratch();
-  float* cols = grown(buffers.cols, pr * chunk * pixels);
-  float* dy = grown(buffers.wide, oc * chunk * pixels);
+  float* dy = grown(buffers.dy, oc * chunk * pixels);
   float* grad_cols =
       input_gradient ? grown(buffers.grad_cols, pr * chunk * pixels)
                      : nullptr;
@@ -189,18 +184,17 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output,
     const std::size_t wide = n * pixels;
     const float* in = input_.data() + base * in_stride;
     const float* dout = grad_output.data() + base * oc * pixels;
-    for_each_sample(n, pr * pixels, [=](std::size_t lo, std::size_t hi) {
-      for (std::size_t s = lo; s < hi; ++s) {
-        tensor::im2col_strided(g, in + s * in_stride, cols + s * pixels,
-                               wide);
-        // Gather dY from (n, oc, pixels) into (oc x wide).
+    // Gather dY from (n, oc, pixels) into (oc x wide).
+    for_each_sample(n, oc * pixels, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s)
         for (std::size_t c = 0; c < oc; ++c)
           std::copy_n(dout + (s * oc + c) * pixels, pixels,
                       dy + c * wide + s * pixels);
-      }
     });
-    // dW += dY (oc x wide) * cols^T (wide x pr)
-    tensor::gemm_bt(oc, wide, pr, 1.0f, dy, cols, 1.0f, grad_weight_.data());
+    // dW += dY (oc x wide) * cols^T (wide x pr), the sub-batch's patches
+    // lowered one depth block at a time inside the GEMM.
+    tensor::gemm_bt(oc, wide, pr, 1.0f, dy, patches(g, in), 1.0f,
+                    grad_weight_.data());
     // db: channels, like samples, are independent; each channel's sum
     // runs in pixel order on one thread.
     for_each_sample(oc, wide, [=](std::size_t lo, std::size_t hi) {

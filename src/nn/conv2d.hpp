@@ -1,6 +1,11 @@
-// 2-D convolution over (N, C, H, W) batches via im2col + GEMM. This is the
-// workhorse of the paper's chosen model (2D-CNN over 64 x 64 script
-// images).
+// 2-D convolution over (N, C, H, W) batches as an implicit GEMM. This is
+// the workhorse of the paper's chosen model (2D-CNN over 64 x 64 script
+// images). The forward and the weight gradient never store the im2col
+// patch matrix: the GEMM lowers each cache-sized panel of it straight from
+// the batch (tensor::im2col_block), and the forward scatters each finished
+// output block with its bias. The input gradient still forms d(cols)
+// (W^T * dY) and adds it back with col2im. Results are bit-identical to
+// the materialised im2col + GEMM.
 #pragma once
 
 #include <memory>

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <vector>
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
 #include "util/thread_pool.hpp"
 
 namespace prionn::tensor {
@@ -118,20 +122,72 @@ void gemm_block(std::size_t row_lo, std::size_t row_hi, std::size_t col_lo,
   }
 }
 
-/// dst (cols x rows) = src (rows x cols, leading dimension ld) transposed,
-/// in cache tiles so neither side is walked at a long stride for long.
-void transpose_block(const float* src, std::size_t ld, std::size_t rows,
-                     std::size_t cols, float* dst) noexcept {
-  constexpr std::size_t kTile = 32;
-  for (std::size_t i0 = 0; i0 < rows; i0 += kTile) {
-    const std::size_t i1 = std::min(rows, i0 + kTile);
-    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
-      const std::size_t j1 = std::min(cols, j0 + kTile);
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = j0; j < j1; ++j)
-          dst[j * rows + i] = src[i * ld + j];
-    }
+#if defined(__AVX__)
+/// Rows i and i + 4 of the tile's four columns from `col` on, as the two
+/// 128-bit halves of one register.
+inline __m256 row_pair(const float* src, std::size_t ld, std::size_t i,
+                       std::size_t col) noexcept {
+  return _mm256_insertf128_ps(
+      _mm256_castps128_ps256(_mm_loadu_ps(src + i * ld + col)),
+      _mm_loadu_ps(src + (i + 4) * ld + col), 1);
+}
+
+/// dst (8 x 8, leading dimension ldd) = the 8 x 8 tile at src (leading
+/// dimension ld) transposed, in registers. The loads already pair row i
+/// with row i + 4 in the two halves, so two rounds of in-lane shuffles
+/// finish the job.
+inline void transpose8x8(const float* src, std::size_t ld, float* dst,
+                         std::size_t ldd) noexcept {
+  constexpr int kLo = _MM_SHUFFLE(1, 0, 1, 0), kHi = _MM_SHUFFLE(3, 2, 3, 2);
+  for (std::size_t col = 0; col < 8; col += 4) {
+    const __m256 r0 = row_pair(src, ld, 0, col),
+                 r1 = row_pair(src, ld, 1, col),
+                 r2 = row_pair(src, ld, 2, col),
+                 r3 = row_pair(src, ld, 3, col);
+    const __m256 t0 = _mm256_unpacklo_ps(r0, r1),
+                 t1 = _mm256_unpackhi_ps(r0, r1),
+                 t2 = _mm256_unpacklo_ps(r2, r3),
+                 t3 = _mm256_unpackhi_ps(r2, r3);
+    float* out = dst + col * ldd;
+    _mm256_storeu_ps(out, _mm256_shuffle_ps(t0, t2, kLo));
+    _mm256_storeu_ps(out + ldd, _mm256_shuffle_ps(t0, t2, kHi));
+    _mm256_storeu_ps(out + 2 * ldd, _mm256_shuffle_ps(t1, t3, kLo));
+    _mm256_storeu_ps(out + 3 * ldd, _mm256_shuffle_ps(t1, t3, kHi));
   }
+}
+#endif
+
+/// dst (cols x rows, leading dimension ldd) = src (rows x cols, leading
+/// dimension ld) transposed, with cols <= kKC. Where the target has AVX
+/// the work is whole 8 x 8 tiles in registers: a ragged last group of rows
+/// is copied into a zero-topped tile strip first, so dst may also get zero
+/// columns [rows, rows rounded up to 8), and ldd must leave room for them.
+/// Ragged columns go element by element.
+void transpose_block(const float* src, std::size_t ld, std::size_t rows,
+                     std::size_t cols, float* dst, std::size_t ldd) noexcept {
+  std::size_t cols8 = 0;
+#if defined(__AVX__)
+  cols8 = cols / 8 * 8;
+  const std::size_t rows8 = rows / 8 * 8;
+  for (std::size_t j = 0; j < cols8; j += 8)
+    for (std::size_t i = 0; i < rows8; i += 8)
+      transpose8x8(src + i * ld + j, ld, dst + j * ldd + i, ldd);
+  if (rows8 < rows) {
+    float strip[8 * kKC];
+    for (std::size_t i = 0; i < 8; ++i) {
+      float* row = strip + i * kKC;
+      if (rows8 + i < rows)
+        std::copy_n(src + (rows8 + i) * ld, cols8, row);
+      else
+        std::fill_n(row, cols8, 0.0f);
+    }
+    for (std::size_t j = 0; j < cols8; j += 8)
+      transpose8x8(strip + j, kKC, dst + j * ldd + rows8, ldd);
+  }
+#endif
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = cols8; j < cols; ++j)
+      dst[j * ldd + i] = src[i * ld + j];
 }
 
 /// Below this many flops a product stays on the calling thread: the fork
@@ -171,6 +227,34 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, float alpha,
   }
 }
 
+void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
+          const BlockSource& b, const BlockSink& c) {
+  // Each kNC column panel runs on one thread: B's panel is produced one
+  // kKC depth block at a time into an L2-sized buffer, multiplied by the
+  // unchanged gemm_block into the panel's C block (beta = 0 on the first
+  // depth block, then accumulate), and handed to the sink.
+  const std::size_t panels = (n + kNC - 1) / kNC;
+  const auto run_panels = [&](std::size_t lo, std::size_t hi) {
+    thread_local std::vector<float> panel_buffer, block_buffer;
+    float* panel = grown(panel_buffer, std::min(k, kKC) * std::min(n, kNC));
+    float* block = grown(block_buffer, m * std::min(n, kNC));
+    for (std::size_t jp = lo; jp < hi; ++jp) {
+      const std::size_t c0 = jp * kNC, nc = std::min(kNC, n - c0);
+      for (std::size_t pc = 0; pc < k; pc += kKC) {
+        const std::size_t kc = std::min(kKC, k - pc);
+        b(pc, pc + kc, c0, c0 + nc, panel, nc);
+        const Operands o{a + pc, k, panel, nc, block, nc};
+        gemm_block(0, m, 0, nc, kc, 1.0f, o, pc == 0 ? 0.0f : 1.0f);
+      }
+      c(c0, c0 + nc, block, nc);
+    }
+  };
+  if (run_serially(m, k, n, panels))
+    run_panels(0, panels);
+  else
+    util::ThreadPool::global().parallel_for_chunks(0, panels, run_panels);
+}
+
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, float alpha,
              const float* a, const float* b, float beta, float* c) {
   // A^T access is strided; materialise the transpose once so the main loop
@@ -182,26 +266,43 @@ void gemm_at(std::size_t m, std::size_t k, std::size_t n, float alpha,
   gemm(m, k, n, alpha, t, b, beta, c);
 }
 
-void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
-             const float* a, const float* b, float beta, float* c) {
-  // The depth (k) is the long axis here: dW = dY * cols^T sums over every
-  // pixel of the batch. Each kKC depth block d gets its own partial
-  // product A[:, d] * B[:, d]^T, formed from a transpose of just that
-  // block of B (stored n x k). The partials are then added to C in block
-  // order, which is the order in which one blocked gemm() over the whole
-  // transpose accumulates C, so the result is the same at any lane width.
+namespace {
+
+/// Writes the kc x n transpose of B's depth block [pc, pc + kc) (B stored
+/// n x k) at bt, leading dimension ldbt.
+using DepthBlockTranspose = std::function<void(
+    std::size_t pc, std::size_t kc, float* bt, std::size_t ldbt)>;
+
+/// C = alpha * A[m x k] * B^T + beta * C, B (n x k) read through
+/// `transpose`. The depth (k) is the long axis here: dW = dY * cols^T
+/// sums over every pixel of the batch. Each kKC depth block d gets its own
+/// partial product A[:, d] * B[:, d]^T, from a transpose of just that
+/// block of B. The partials are then added to C in block order, which is
+/// the order in which one blocked gemm() over the whole transpose
+/// accumulates C, so the result is the same at any lane width. The
+/// transpose is zero-padded to a kNR multiple of columns so every tile
+/// runs the full micro-kernel (a column's arithmetic does not depend on
+/// its neighbours); only the n valid columns are added to C.
+void gemm_bt_blocks(std::size_t m, std::size_t k, std::size_t n, float alpha,
+                    const float* a, const DepthBlockTranspose& transpose,
+                    float beta, float* c) {
   const std::size_t blocks = (k + kKC - 1) / kKC;
+  const std::size_t np = (n + kNR - 1) / kNR * kNR;
   thread_local std::vector<float> partial_buffer;
-  float* partials = grown(partial_buffer, blocks * m * n);
+  float* partials = grown(partial_buffer, blocks * m * np);
   const auto block_products = [&](std::size_t lo, std::size_t hi) {
     thread_local std::vector<float> bt_buffer;
-    float* bt = grown(bt_buffer, kKC * n);
+    float* bt = grown(bt_buffer, kKC * np);
+    // The transposes below write only columns [0, n) and zeros: the
+    // padding stays zero from one depth block to the next.
+    for (std::size_t p = 0; p < kKC; ++p)
+      std::fill(bt + p * np + n, bt + (p + 1) * np, 0.0f);
     for (std::size_t d = lo; d < hi; ++d) {
       const std::size_t pc = d * kKC;
       const std::size_t kc = std::min(kKC, k - pc);
-      transpose_block(b + pc, k, n, kc, bt);
-      const Operands o{a + pc, k, bt, n, partials + d * m * n, n};
-      gemm_block(0, m, 0, n, kc, 1.0f, o, 0.0f);
+      transpose(pc, kc, bt, np);
+      const Operands o{a + pc, k, bt, np, partials + d * m * np, np};
+      gemm_block(0, m, 0, np, kc, 1.0f, o, 0.0f);
     }
   };
   if (run_serially(m, k, n, blocks))
@@ -210,11 +311,43 @@ void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
     util::ThreadPool::global().parallel_for_chunks(0, blocks, block_products);
 
   scale_block(c, n, 0, m, 0, n, beta);
-  const std::size_t mn = m * n;
   for (std::size_t d = 0; d < blocks; ++d) {
-    const float* part = partials + d * mn;
-    for (std::size_t e = 0; e < mn; ++e) c[e] += alpha * part[e];
+    const float* part = partials + d * m * np;
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        c[i * n + j] += alpha * part[i * np + j];
   }
+}
+
+}  // namespace
+
+void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
+             const float* a, const float* b, float beta, float* c) {
+  gemm_bt_blocks(
+      m, k, n, alpha, a,
+      [&](std::size_t pc, std::size_t kc, float* bt, std::size_t ldbt) {
+        transpose_block(b + pc, k, n, kc, bt, ldbt);
+      },
+      beta, c);
+}
+
+void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
+             const float* a, const BlockSource& b, float beta, float* c) {
+  // B's rows are produced a strip at a time into an L1-sized panel and
+  // transposed from there.
+  constexpr std::size_t kStrip = 16;
+  gemm_bt_blocks(
+      m, k, n, alpha, a,
+      [&](std::size_t pc, std::size_t kc, float* bt, std::size_t ldbt) {
+        thread_local std::vector<float> strip_buffer;
+        float* strip = grown(strip_buffer, kStrip * kKC);
+        for (std::size_t r = 0; r < n; r += kStrip) {
+          const std::size_t rows = std::min(kStrip, n - r);
+          b(r, r + rows, pc, pc + kc, strip, kc);
+          transpose_block(strip, kc, rows, kc, bt + r, ldbt);
+        }
+      },
+      beta, c);
 }
 
 void gemv(std::size_t m, std::size_t k, const float* a, const float* x,

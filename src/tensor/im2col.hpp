@@ -28,6 +28,18 @@ struct Conv2dGeom {
   std::size_t patch_cols() const noexcept { return out_h() * out_w(); }
 };
 
+/// Lower the block rows [r0, r1) x columns [q0, q1) of a whole batch's
+/// patch matrix. `images` holds the samples back to back (C x H x W each);
+/// column q is output pixel q % patch_cols() of sample q / patch_cols().
+/// Block row r - r0 is written at out[(r - r0) * ld ..]. Each
+/// (c, kh, kw, oy) row is lowered as one run: for stride 1 a contiguous
+/// copy of the in-bounds taps plus zeroed pad edges, otherwise a gather.
+/// This is the one lowering routine; the wrappers below and the implicit
+/// GEMM panels of nn::Conv2d all call it.
+void im2col_block(const Conv2dGeom& g, const float* images, std::size_t r0,
+                  std::size_t r1, std::size_t q0, std::size_t q1, float* out,
+                  std::size_t ld) noexcept;
+
 /// Lower `image` (C x H x W, row-major) to `cols` (patch_rows x patch_cols).
 /// Out-of-bounds taps (padding) contribute zero.
 void im2col(const Conv2dGeom& g, const float* image, float* cols) noexcept;

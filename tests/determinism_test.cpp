@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/model_zoo.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/gemm.hpp"
@@ -167,4 +168,69 @@ TEST(ThreadCountIndependence, Cnn2dTrainBatchAtEveryLaneWidth) {
     out.insert(out.end(), logits.data(), logits.data() + logits.size());
     return out;
   });
+}
+
+namespace {
+
+/// A conv layer position: in and out channels, a square image side and
+/// the kernel, stride and padding.
+struct ConvLayer {
+  const char* name;
+  std::size_t in_c, out_c, height, width, kernel_h, kernel_w, stride, pad,
+      batch;
+};
+
+/// The four kPaper conv positions at batch 32 on 64 x 64 grids, and an odd
+/// geometry whose rows, panels and depth blocks never line up (13 x 17,
+/// 32 channels so the patch matrix has more than one depth block).
+constexpr ConvLayer kConvLayers[] = {
+    {"paper conv1", 4, 8, 64, 64, 3, 3, 1, 1, 32},
+    {"paper conv2", 8, 16, 32, 32, 3, 3, 1, 1, 32},
+    {"paper conv3", 16, 16, 16, 16, 3, 3, 1, 1, 32},
+    {"paper conv4", 16, 32, 8, 8, 3, 3, 1, 1, 32},
+    {"odd 5x3", 32, 6, 13, 17, 5, 3, 1, 2, 33},
+    {"odd 3x3 stride 2", 32, 6, 13, 17, 3, 3, 2, 1, 33},
+};
+
+prionn::nn::Conv2d make_conv(const ConvLayer& l) {
+  prionn::util::Rng rng(5);
+  return prionn::nn::Conv2d(l.in_c, l.out_c, l.kernel_h, l.kernel_w, l.stride,
+                            l.pad, rng);
+}
+
+t::Tensor conv_input(const ConvLayer& l) {
+  return t::Tensor({l.batch, l.in_c, l.height, l.width},
+                   random_floats(l.batch * l.in_c * l.height * l.width, 6));
+}
+
+}  // namespace
+
+TEST(ThreadCountIndependence, ImplicitConvForwardAtEveryLaneWidth) {
+  for (const auto& l : kConvLayers) {
+    SCOPED_TRACE(l.name);
+    const t::Tensor x = conv_input(l);
+    expect_width_independent([&] {
+      prionn::nn::Conv2d conv = make_conv(l);
+      const t::Tensor y = conv.forward(x, /*training=*/true);
+      return std::vector<float>(y.data(), y.data() + y.size());
+    });
+  }
+}
+
+TEST(ThreadCountIndependence, ImplicitConvBackwardAtEveryLaneWidth) {
+  for (const auto& l : kConvLayers) {
+    SCOPED_TRACE(l.name);
+    const t::Tensor x = conv_input(l);
+    expect_width_independent([&] {
+      prionn::nn::Conv2d conv = make_conv(l);
+      const t::Tensor y = conv.forward(x, /*training=*/true);
+      // The output doubles as the incoming gradient: dW, db, then dX.
+      const t::Tensor dx = conv.backward(y);
+      std::vector<float> out;
+      for (const auto* g : conv.gradients())
+        out.insert(out.end(), g->data(), g->data() + g->size());
+      out.insert(out.end(), dx.data(), dx.data() + dx.size());
+      return out;
+    });
+  }
 }

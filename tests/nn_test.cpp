@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/model_zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/conv2d.hpp"
@@ -638,4 +639,96 @@ TEST(Network, LayerTimingCountersAreKeyedByPosition) {
   const std::uint64_t after = value("prionn_nn_forward_ns_total_00_dense");
   net.forward(x, /*training=*/false);
   EXPECT_EQ(value("prionn_nn_forward_ns_total_00_dense"), after);
+}
+
+namespace {
+
+/// FNV-1a over the bytes of each value's bit pattern.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add_bytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Digest of two Adam steps of a zoo model on one fixed batch of 33: both
+/// losses' bits, then every updated parameter.
+std::uint64_t two_step_digest(prionn::core::ModelKind kind,
+                              prionn::core::ModelPreset preset,
+                              std::size_t channels) {
+  prionn::core::ModelConfig config;
+  config.kind = kind;
+  config.preset = preset;
+  config.channels = channels;
+  const std::size_t batch = 33;
+  // The 1D-CNN reads the grid as one (C, rows * cols) signal.
+  const Tensor x =
+      kind == prionn::core::ModelKind::kCnn1d
+          ? random_tensor({batch, config.channels, config.rows * config.cols},
+                          81)
+          : random_tensor({batch, config.channels, config.rows, config.cols},
+                          81);
+  std::vector<std::uint32_t> y(batch);
+  for (std::size_t i = 0; i < batch; ++i)
+    y[i] = static_cast<std::uint32_t>((i * 131) % config.classes);
+  nn::Network net = prionn::core::build_model(config);
+  nn::Adam opt(1e-3);
+  Fnv1a digest;
+  for (int step = 0; step < 2; ++step) {
+    const double loss = net.train_batch(x, y, opt);
+    digest.add_bytes(&loss, sizeof loss);
+  }
+  for (const auto* p : net.parameters())
+    digest.add_bytes(p->data(), p->size() * sizeof(float));
+  return digest.h;
+}
+
+}  // namespace
+
+// Pins the training arithmetic of every model kind: the conv lowering, the
+// three GEMM entry points (gemm_bt is shared by Dense, Conv1d and the
+// Conv2d weight gradient) and the optimiser. A kernel change that is meant
+// to be a pure speed-up must leave these digests alone.
+TEST(Network, TrainStepsMatchPinnedDigest) {
+  using prionn::core::ModelKind;
+  using prionn::core::ModelPreset;
+  struct Case {
+    const char* name;
+    ModelKind kind;
+    ModelPreset preset;
+    std::size_t channels;
+    std::uint64_t digest_fma, digest_no_fma;
+  };
+  // The one-hot transform's 128 channels give 1152 patch rows: more than
+  // one GEMM depth block, and conv 0's backward splits into sub-batches.
+  // A target with FMA (PRIONN_NATIVE on a current x86-64) contracts
+  // a * b + c into one rounding; a baseline x86-64 build cannot, so each
+  // case has a pin for either kind of build.
+  const Case cases[] = {
+      {"cnn2d fast", ModelKind::kCnn2d, ModelPreset::kFast, 4,
+       0xcf97c7d9b0b2a7fcull, 0x60941c91c8143bb9ull},
+      {"cnn2d paper", ModelKind::kCnn2d, ModelPreset::kPaper, 4,
+       0x60ffa1e6c1dc6c96ull, 0x4285eb7f8414892aull},
+      {"cnn2d fast one-hot", ModelKind::kCnn2d, ModelPreset::kFast, 128,
+       0xd28b60854f6f1c26ull, 0xfd88e1dfed9339a4ull},
+      {"dense fast", ModelKind::kFullyConnected, ModelPreset::kFast, 4,
+       0xa7be99e8a7d23ea1ull, 0xb50bf8dbe4834e0dull},
+      {"cnn1d fast", ModelKind::kCnn1d, ModelPreset::kFast, 4,
+       0x4671eeeb5c6e54a1ull, 0xc7ab2e168da6fabbull},
+  };
+#if defined(__FMA__)
+  constexpr bool kFma = true;
+#else
+  constexpr bool kFma = false;
+#endif
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::uint64_t got = two_step_digest(c.kind, c.preset, c.channels);
+    EXPECT_EQ(got, kFma ? c.digest_fma : c.digest_no_fma)
+        << std::hex << "got 0x" << got;
+  }
 }

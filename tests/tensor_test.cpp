@@ -1,10 +1,17 @@
 // Unit tests for the tensor substrate: storage, GEMM against a naive
 // reference, element-wise ops, and the im2col/col2im lowering (including
-// the adjoint property that backs convolution backprop).
+// the adjoint property that backs convolution backprop, and bit-for-bit
+// equality of the row-run lowering and the implicit GEMMs with a
+// per-element reference).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -398,4 +405,249 @@ TEST(Im2col, GeometryArithmetic2d) {
   EXPECT_EQ(g.out_w(), 64u);
   EXPECT_EQ(g.patch_rows(), 36u);
   EXPECT_EQ(g.patch_cols(), 4096u);
+}
+
+// ------------------------------------------- row-run lowering vs reference ---
+
+namespace {
+
+/// Per-element reference lowering: one bounds decision per tap, patch row r
+/// of the sample written at cols[r * ld ..].
+void reference_im2col(const t::Conv2dGeom& g, const float* image, float* cols,
+                      std::size_t ld) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.channels; ++c)
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row)
+        for (std::size_t oy = 0; oy < oh; ++oy)
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * g.stride_h + kh) -
+                static_cast<std::ptrdiff_t>(g.pad_h);
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * g.stride_w + kw) -
+                static_cast<std::ptrdiff_t>(g.pad_w);
+            const bool inside =
+                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.height) &&
+                ix >= 0 && ix < static_cast<std::ptrdiff_t>(g.width);
+            cols[row * ld + oy * ow + ox] =
+                inside ? image[(c * g.height + static_cast<std::size_t>(iy)) *
+                                   g.width +
+                               static_cast<std::size_t>(ix)]
+                       : 0.0f;
+          }
+}
+
+/// Per-element reference adjoint, accumulating in the same row order.
+void reference_col2im(const t::Conv2dGeom& g, const float* cols,
+                      std::size_t ld, float* image_grad) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.channels; ++c)
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row)
+        for (std::size_t oy = 0; oy < oh; ++oy)
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * g.stride_h + kh) -
+                static_cast<std::ptrdiff_t>(g.pad_h);
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * g.stride_w + kw) -
+                static_cast<std::ptrdiff_t>(g.pad_w);
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.height) ||
+                ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.width))
+              continue;
+            image_grad[(c * g.height + static_cast<std::size_t>(iy)) *
+                           g.width +
+                       static_cast<std::size_t>(ix)] +=
+                cols[row * ld + oy * ow + ox];
+          }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Every (stride, pad, kernel) combination on a 13 x 17 image, whose rows
+/// are not a multiple of any tile width, so GEMM panels and depth blocks
+/// end mid output row.
+std::vector<t::Conv2dGeom> odd_geometries(std::size_t channels) {
+  std::vector<t::Conv2dGeom> out;
+  for (const std::size_t stride : {1, 2})
+    for (const std::size_t pad : {0, 1, 2})
+      for (const auto& [kh, kw] : {std::pair<std::size_t, std::size_t>{1, 1},
+                                  {3, 3},
+                                  {5, 3}}) {
+        t::Conv2dGeom g;
+        g.channels = channels;
+        g.height = 13;
+        g.width = 17;
+        g.kernel_h = kh;
+        g.kernel_w = kw;
+        g.stride_h = g.stride_w = stride;
+        g.pad_h = g.pad_w = pad;
+        out.push_back(g);
+      }
+  return out;
+}
+
+std::string describe(const t::Conv2dGeom& g, std::size_t batch) {
+  return "C=" + std::to_string(g.channels) + " k=" +
+         std::to_string(g.kernel_h) + "x" + std::to_string(g.kernel_w) +
+         " stride=" + std::to_string(g.stride_h) +
+         " pad=" + std::to_string(g.pad_h) + " batch=" + std::to_string(batch);
+}
+
+/// The reference patch matrix of a whole batch: pr x (batch * pixels).
+std::vector<float> reference_patches(const t::Conv2dGeom& g,
+                                     const std::vector<float>& images,
+                                     std::size_t batch) {
+  const std::size_t pixels = g.patch_cols(), wide = batch * pixels;
+  const std::size_t in_stride = g.channels * g.height * g.width;
+  std::vector<float> cols(g.patch_rows() * wide);
+  for (std::size_t s = 0; s < batch; ++s)
+    reference_im2col(g, images.data() + s * in_stride,
+                     cols.data() + s * pixels, wide);
+  return cols;
+}
+
+t::BlockSource batch_patches(const t::Conv2dGeom& g, const float* images) {
+  return [&g, images](std::size_t r0, std::size_t r1, std::size_t c0,
+                      std::size_t c1, float* out, std::size_t ld) {
+    t::im2col_block(g, images, r0, r1, c0, c1, out, ld);
+  };
+}
+
+}  // namespace
+
+TEST(Lowering, RowRunIm2colMatchesPerElementReference) {
+  for (const std::size_t channels : {3, 32}) {
+    for (const auto& g : odd_geometries(channels)) {
+      SCOPED_TRACE(describe(g, 1));
+      const std::size_t pr = g.patch_rows(), pixels = g.patch_cols();
+      const auto image = random_vec(channels * g.height * g.width, 21);
+      // A wider leading dimension and an offset, as a batch column block.
+      const std::size_t ld = 2 * pixels + 5;
+      std::vector<float> expected(pr * ld, -1.0f), got(pr * ld, -1.0f);
+      reference_im2col(g, image.data(), expected.data() + 3, ld);
+      t::im2col_strided(g, image.data(), got.data() + 3, ld);
+      EXPECT_TRUE(same_bits(got, expected));
+    }
+  }
+}
+
+TEST(Lowering, BlocksOfABatchMatchPerElementReference) {
+  // Arbitrary row and column ranges of a 3-sample batch's patch matrix:
+  // ranges that start and end mid output row and straddle samples.
+  const std::size_t batch = 3;
+  for (const std::size_t channels : {3, 32}) {
+    for (const auto& g : odd_geometries(channels)) {
+      SCOPED_TRACE(describe(g, batch));
+      const std::size_t pr = g.patch_rows(), wide = batch * g.patch_cols();
+      const auto images =
+          random_vec(batch * channels * g.height * g.width, 22);
+      const auto cols = reference_patches(g, images, batch);
+      prionn::util::Rng rng(23);
+      // A uniform index in [lo, hi).
+      const auto pick = [&](std::size_t lo, std::size_t hi) {
+        return static_cast<std::size_t>(rng.uniform_int(
+            static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi) - 1));
+      };
+      for (int trial = 0; trial < 20; ++trial) {
+        const std::size_t r0 = pick(0, pr), r1 = pick(r0 + 1, pr + 1);
+        const std::size_t q0 = pick(0, wide), q1 = pick(q0 + 1, wide + 1);
+        const std::size_t ld = q1 - q0 + 2;
+        std::vector<float> got((r1 - r0) * ld, -1.0f);
+        std::vector<float> expected(got.size(), -1.0f);
+        for (std::size_t r = r0; r < r1; ++r)
+          std::copy(cols.begin() + r * wide + q0, cols.begin() + r * wide + q1,
+                    expected.begin() + (r - r0) * ld);
+        t::im2col_block(g, images.data(), r0, r1, q0, q1, got.data(), ld);
+        ASSERT_TRUE(same_bits(got, expected))
+            << "rows [" << r0 << ", " << r1 << ") cols [" << q0 << ", " << q1
+            << ")";
+      }
+    }
+  }
+}
+
+TEST(Lowering, RowRunCol2imMatchesPerElementReference) {
+  for (const std::size_t channels : {3, 32}) {
+    for (const auto& g : odd_geometries(channels)) {
+      SCOPED_TRACE(describe(g, 1));
+      const std::size_t pixels = g.patch_cols();
+      const std::size_t ld = pixels + 7;
+      const auto cols = random_vec(g.patch_rows() * ld, 24);
+      // Accumulates onto existing values, as col2im's contract allows.
+      const auto start = random_vec(channels * g.height * g.width, 25);
+      std::vector<float> expected = start, got = start;
+      reference_col2im(g, cols.data(), ld, expected.data());
+      t::col2im_strided(g, cols.data(), ld, got.data());
+      EXPECT_TRUE(same_bits(got, expected));
+    }
+  }
+}
+
+TEST(Lowering, ImplicitGemmsMatchMaterialisedPatches) {
+  // The implicit forward against gemm() over the reference patch matrix,
+  // and the implicit weight gradient against the stored-operand gemm_bt().
+  // C = 32 gives pr > kKC (more than one depth block per panel).
+  const std::size_t oc = 6;
+  for (const std::size_t channels : {3, 32}) {
+    for (const std::size_t batch : {1, 33}) {
+      for (const auto& g : odd_geometries(channels)) {
+        if (channels == 32 && g.kernel_h == 1) continue;  // pr < kKC
+        SCOPED_TRACE(describe(g, batch));
+        const std::size_t pr = g.patch_rows(),
+                          wide = batch * g.patch_cols();
+        const auto images =
+            random_vec(batch * channels * g.height * g.width, 26);
+        const auto cols = reference_patches(g, images, batch);
+        const auto w = random_vec(oc * pr, 27);
+
+        std::vector<float> expected(oc * wide), got(oc * wide, -1.0f);
+        t::gemm(oc, pr, wide, 1.0f, w.data(), cols.data(), 0.0f,
+                expected.data());
+        t::gemm(oc, pr, wide, w.data(), batch_patches(g, images.data()),
+                [&](std::size_t c0, std::size_t c1, const float* block,
+                    std::size_t ld) {
+                  for (std::size_t i = 0; i < oc; ++i)
+                    std::copy(block + i * ld, block + i * ld + (c1 - c0),
+                              got.begin() + i * wide + c0);
+                });
+        EXPECT_TRUE(same_bits(got, expected)) << "forward";
+
+        const auto dy = random_vec(oc * wide, 28);
+        std::vector<float> dw_expected = random_vec(oc * pr, 29);
+        std::vector<float> dw_got = dw_expected;
+        t::gemm_bt(oc, wide, pr, 1.0f, dy.data(), cols.data(), 1.0f,
+                   dw_expected.data());
+        t::gemm_bt(oc, wide, pr, 1.0f, dy.data(),
+                   batch_patches(g, images.data()), 1.0f, dw_got.data());
+        EXPECT_TRUE(same_bits(dw_got, dw_expected)) << "weight gradient";
+      }
+    }
+  }
+}
+
+TEST(Lowering, PaddedGemmBtMatchesGemmOverTranspose) {
+  // gemm_bt pads its transposed depth blocks to whole micro-tiles and sums
+  // the blocks' partials in block order. That must give the bits of a
+  // plain gemm over the explicit transpose, which has no padding.
+  for (const auto& [m, k, n] :
+       {GemmShape{4, 1000, 36}, GemmShape{5, 300, 7}, GemmShape{2, 64, 960}}) {
+    SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                 std::to_string(n));
+    const auto a = random_vec(m * k, 30);
+    const auto b = random_vec(n * k, 31);  // stored n x k
+    std::vector<float> bt(k * n);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+    std::vector<float> got(m * n, 0.0f), expected(m * n, 0.0f);
+    t::gemm_bt(m, k, n, 1.0f, a.data(), b.data(), 0.0f, got.data());
+    t::gemm(m, k, n, 1.0f, a.data(), bt.data(), 0.0f, expected.data());
+    EXPECT_TRUE(same_bits(got, expected));
+  }
 }
