@@ -34,7 +34,9 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x5052434B;  // "PRCK"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2: conv2d records carry per-axis padding (stride, pad_h, pad_w)
+/// and maxpool2d records a per-axis window.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Cursor of the online replay loop at checkpoint time. Taken right after
 /// a training event: `next_index` is the submission whose prediction has

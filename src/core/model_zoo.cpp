@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "nn/activations.hpp"
-#include "nn/conv1d.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
@@ -32,18 +31,18 @@ Network build_cnn2d(const ModelConfig& cfg, util::Rng& rng) {
   const std::size_t c1 = paper ? 8 : 4, c2 = paper ? 16 : 8,
                     c3 = paper ? 16 : 8, c4 = paper ? 32 : 16;
   Network net;
-  net.emplace<nn::Conv2d>(cfg.channels, c1, 3, 3, 1, 1, rng);
+  net.emplace<nn::Conv2d>(cfg.channels, c1, 3, 3, 1, 1, 1, rng);
   net.emplace<nn::Relu>();
-  net.emplace<nn::MaxPool2d>(2);
-  net.emplace<nn::Conv2d>(c1, c2, 3, 3, 1, 1, rng);
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::Conv2d>(c1, c2, 3, 3, 1, 1, 1, rng);
   net.emplace<nn::Relu>();
-  net.emplace<nn::MaxPool2d>(2);
-  net.emplace<nn::Conv2d>(c2, c3, 3, 3, 1, 1, rng);
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::Conv2d>(c2, c3, 3, 3, 1, 1, 1, rng);
   net.emplace<nn::Relu>();
-  net.emplace<nn::MaxPool2d>(2);
-  net.emplace<nn::Conv2d>(c3, c4, 3, 3, 1, 1, rng);
+  net.emplace<nn::MaxPool2d>(2, 2);
+  net.emplace<nn::Conv2d>(c3, c4, 3, 3, 1, 1, 1, rng);
   net.emplace<nn::Relu>();
-  net.emplace<nn::MaxPool2d>(2);
+  net.emplace<nn::MaxPool2d>(2, 2);
   net.emplace<nn::Flatten>();
   const std::size_t flat = c4 * (cfg.rows / 16) * (cfg.cols / 16);
   const std::size_t f1 = paper ? 256 : 128, f2 = paper ? 128 : 96,
@@ -60,22 +59,24 @@ Network build_cnn2d(const ModelConfig& cfg, util::Rng& rng) {
 }
 
 /// Several 1-D conv layers followed by fully connected layers (paper
-/// section 2.2).
+/// section 2.2). The flattened script is a (C, 1, rows * cols) image, so
+/// each 1-D convolution is a 1 x k Conv2d padded by (0, k / 2) and each
+/// pool a 1 x 4 MaxPool2d.
 Network build_cnn1d(const ModelConfig& cfg, util::Rng& rng) {
   const bool paper = cfg.preset == ModelPreset::kPaper;
   const std::size_t c1 = paper ? 8 : 4, c2 = paper ? 16 : 8,
                     c3 = paper ? 32 : 16;
   const std::size_t length = cfg.rows * cfg.cols;
   Network net;
-  net.emplace<nn::Conv1d>(cfg.channels, c1, 7, 1, 3, rng);
+  net.emplace<nn::Conv2d>(cfg.channels, c1, 1, 7, 1, 0, 3, rng);
   net.emplace<nn::Relu>();
-  net.emplace<nn::MaxPool1d>(4);
-  net.emplace<nn::Conv1d>(c1, c2, 5, 1, 2, rng);
+  net.emplace<nn::MaxPool2d>(1, 4);
+  net.emplace<nn::Conv2d>(c1, c2, 1, 5, 1, 0, 2, rng);
   net.emplace<nn::Relu>();
-  net.emplace<nn::MaxPool1d>(4);
-  net.emplace<nn::Conv1d>(c2, c3, 3, 1, 1, rng);
+  net.emplace<nn::MaxPool2d>(1, 4);
+  net.emplace<nn::Conv2d>(c2, c3, 1, 3, 1, 0, 1, rng);
   net.emplace<nn::Relu>();
-  net.emplace<nn::MaxPool1d>(4);
+  net.emplace<nn::MaxPool2d>(1, 4);
   net.emplace<nn::Flatten>();
   const std::size_t flat = c3 * (length / 64);
   const std::size_t f1 = paper ? 256 : 128, f2 = paper ? 128 : 64;

@@ -1,6 +1,7 @@
 // Factory for the paper's three deep models (section 2.2):
 //   - NN:     fully connected network over the flattened 1-D mapping
-//   - 1D-CNN: 1-D convolutions over the flattened mapping
+//   - 1D-CNN: 1-D convolutions over the flattened mapping, run as 1 x k
+//             Conv2d layers over a (C, 1, rows * cols) image
 //   - 2D-CNN: 2-D convolutions over the script grid — the paper's choice,
 //             "four convolutional layers and four fully connected layers".
 // Two presets: `kPaper` follows the paper's depth/width; `kFast` is a

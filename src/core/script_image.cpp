@@ -97,10 +97,11 @@ tensor::Tensor ScriptImageMapper::map_2d(std::string_view script) const {
 
 tensor::Tensor ScriptImageMapper::map_1d(std::string_view script) const {
   tensor::Tensor image = map_2d(script);
-  // The flattened sequence is the same data viewed as (channels, rows*cols):
-  // the grid rows are concatenated, matching the paper's "all lines of the
-  // text are concatenated into a single line".
-  image.reshape({channels(), options_.rows * options_.cols});
+  // The flattened sequence is the same data viewed as one image row,
+  // (channels, 1, rows * cols): the grid rows are concatenated, matching
+  // the paper's "all lines of the text are concatenated into a single
+  // line".
+  image.reshape({channels(), 1, options_.rows * options_.cols});
   return image;
 }
 
@@ -128,7 +129,7 @@ tensor::Tensor ScriptImageMapper::map_batch_2d(
 tensor::Tensor ScriptImageMapper::map_batch_1d(
     std::span<const std::string> scripts) const {
   tensor::Tensor out = map_batch_2d(scripts);
-  out.reshape({scripts.size(), channels(), options_.rows * options_.cols});
+  out.reshape({scripts.size(), channels(), 1, options_.rows * options_.cols});
   return out;
 }
 

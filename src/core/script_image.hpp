@@ -45,10 +45,12 @@ class ScriptImageMapper {
 
   /// 2-D mapping: one sample of shape (channels, rows, cols).
   tensor::Tensor map_2d(std::string_view script) const;
-  /// 1-D mapping: one sample of shape (channels, rows * cols).
+  /// 1-D mapping: one sample of shape (channels, 1, rows * cols), the
+  /// flattened script as a one-row image.
   tensor::Tensor map_1d(std::string_view script) const;
 
-  /// Batch versions: (N, channels, rows, cols) / (N, channels, length).
+  /// Batch versions: (N, channels, rows, cols) / (N, channels, 1,
+  /// rows * cols).
   /// Span-based so the serving path can map a window of queued requests
   /// without first copying them into a vector.
   tensor::Tensor map_batch_2d(std::span<const std::string> scripts) const;

@@ -53,24 +53,27 @@ tensor::BlockSource patches(const tensor::Conv2dGeom& g,
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel_h, std::size_t kernel_w,
-               std::size_t stride, std::size_t pad, util::Rng& rng)
+               std::size_t stride, std::size_t pad_h, std::size_t pad_w,
+               util::Rng& rng)
     : weight_({out_channels, in_channels, kernel_h, kernel_w}),
       bias_({out_channels}),
       grad_weight_(weight_.shape()),
       grad_bias_(bias_.shape()),
       stride_(stride),
-      pad_(pad) {
+      pad_h_(pad_h),
+      pad_w_(pad_w) {
   he_init(weight_, in_channels * kernel_h * kernel_w, rng);
 }
 
 Conv2d::Conv2d(Tensor weight, Tensor bias, std::size_t stride,
-               std::size_t pad)
+               std::size_t pad_h, std::size_t pad_w)
     : weight_(std::move(weight)),
       bias_(std::move(bias)),
       grad_weight_(weight_.shape()),
       grad_bias_(bias_.shape()),
       stride_(stride),
-      pad_(pad) {
+      pad_h_(pad_h),
+      pad_w_(pad_w) {
   if (weight_.rank() != 4 || bias_.rank() != 1 ||
       bias_.dim(0) != weight_.dim(0))
     throw std::invalid_argument("Conv2d: inconsistent weight/bias shapes");
@@ -88,7 +91,8 @@ tensor::Conv2dGeom Conv2d::geometry(const Shape& sample) const {
   g.kernel_h = weight_.dim(2);
   g.kernel_w = weight_.dim(3);
   g.stride_h = g.stride_w = stride_;
-  g.pad_h = g.pad_w = pad_;
+  g.pad_h = pad_h_;
+  g.pad_w = pad_w_;
   if (g.height + 2 * g.pad_h < g.kernel_h ||
       g.width + 2 * g.pad_w < g.kernel_w)
     throw std::invalid_argument("Conv2d: kernel larger than padded input");
@@ -221,21 +225,20 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output,
 void Conv2d::save(std::ostream& os) const {
   weight_.save(os);
   bias_.save(os);
-  const std::uint64_t stride = stride_, pad = pad_;
-  os.write(reinterpret_cast<const char*>(&stride), sizeof(stride));
-  os.write(reinterpret_cast<const char*>(&pad), sizeof(pad));
+  const std::uint64_t fields[] = {stride_, pad_h_, pad_w_};
+  os.write(reinterpret_cast<const char*>(fields), sizeof(fields));
 }
 
 std::unique_ptr<Layer> Conv2d::load(std::istream& is) {
   Tensor w = Tensor::load(is);
   Tensor b = Tensor::load(is);
-  std::uint64_t stride = 0, pad = 0;
-  is.read(reinterpret_cast<char*>(&stride), sizeof(stride));
-  is.read(reinterpret_cast<char*>(&pad), sizeof(pad));
+  std::uint64_t fields[3] = {};  // stride, pad_h, pad_w
+  is.read(reinterpret_cast<char*>(fields), sizeof(fields));
   if (!is) throw std::runtime_error("Conv2d::load: truncated stream");
   return std::make_unique<Conv2d>(std::move(w), std::move(b),
-                                  static_cast<std::size_t>(stride),
-                                  static_cast<std::size_t>(pad));
+                                  static_cast<std::size_t>(fields[0]),
+                                  static_cast<std::size_t>(fields[1]),
+                                  static_cast<std::size_t>(fields[2]));
 }
 
 }  // namespace prionn::nn

@@ -5,7 +5,9 @@
 // the batch (tensor::im2col_block), and the forward scatters each finished
 // output block with its bias. The input gradient still forms d(cols)
 // (W^T * dY) and adds it back with col2im. Results are bit-identical to
-// the materialised im2col + GEMM.
+// the materialised im2col + GEMM. The 1D-CNN runs through this layer too:
+// a 1 x k kernel with padding (0, k / 2) over a (C, 1, L) view of the
+// flattened script.
 #pragma once
 
 #include <memory>
@@ -17,12 +19,13 @@ namespace prionn::nn {
 
 class Conv2d : public Layer {
  public:
-  /// Square kernels and symmetric padding cover every configuration used in
-  /// the paper's models; rectangular variants are supported anyway.
+  /// Padding is per axis: the 2D-CNN pads its 3 x 3 kernels by (1, 1),
+  /// the 1D-CNN its 1 x k kernels by (0, k / 2). One stride serves both.
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel_h, std::size_t kernel_w, std::size_t stride,
-         std::size_t pad, util::Rng& rng);
-  Conv2d(Tensor weight, Tensor bias, std::size_t stride, std::size_t pad);
+         std::size_t pad_h, std::size_t pad_w, util::Rng& rng);
+  Conv2d(Tensor weight, Tensor bias, std::size_t stride, std::size_t pad_h,
+         std::size_t pad_w);
 
   std::string kind() const override { return "conv2d"; }
   Shape output_shape(const Shape& input) const override;
@@ -51,7 +54,7 @@ class Conv2d : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   std::size_t stride_ = 1;
-  std::size_t pad_ = 0;
+  std::size_t pad_h_ = 0, pad_w_ = 0;
 
   Tensor input_;               // cached batch
   tensor::Conv2dGeom geom_{};  // geometry of the cached batch

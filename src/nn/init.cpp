@@ -10,12 +10,4 @@ void he_init(tensor::Tensor& w, std::size_t fan_in, util::Rng& rng) {
     w[i] = static_cast<float>(rng.normal(0.0, sigma));
 }
 
-void xavier_init(tensor::Tensor& w, std::size_t fan_in, std::size_t fan_out,
-                 util::Rng& rng) {
-  const double a =
-      std::sqrt(6.0 / static_cast<double>(fan_in + fan_out ? fan_in + fan_out : 1));
-  for (std::size_t i = 0; i < w.size(); ++i)
-    w[i] = static_cast<float>(rng.uniform(-a, a));
-}
-
 }  // namespace prionn::nn

@@ -1,5 +1,5 @@
-// Weight initialisation schemes. He initialisation for ReLU stacks (all of
-// PRIONN's models), Xavier for the tanh/sigmoid variants used in tests.
+// Weight initialisation: He initialisation for ReLU stacks (all of
+// PRIONN's models).
 #pragma once
 
 #include <cstddef>
@@ -11,9 +11,5 @@ namespace prionn::nn {
 
 /// N(0, sqrt(2 / fan_in)) — He et al. 2015.
 void he_init(tensor::Tensor& w, std::size_t fan_in, util::Rng& rng);
-
-/// U(-a, a), a = sqrt(6 / (fan_in + fan_out)) — Glorot & Bengio 2010.
-void xavier_init(tensor::Tensor& w, std::size_t fan_in, std::size_t fan_out,
-                 util::Rng& rng);
 
 }  // namespace prionn::nn

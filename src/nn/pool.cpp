@@ -21,16 +21,17 @@ void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-/// Max-pool input planes [first, last) of h x w, recording each winner's
-/// flat input index. Kept out of line: inlined into the std::function
-/// thunk of the per-sample split, GCC's code ran 2.5x slower.
+/// Max-pool input planes [first, last) of h x w by wh x ww windows,
+/// recording each winner's flat input index. Kept out of line: inlined
+/// into the std::function thunk of the per-sample split, GCC's code ran
+/// 2.5x slower.
 [[gnu::noinline]] void pool_planes(const float* in, std::size_t first,
                                    std::size_t last, std::size_t h,
-                                   std::size_t w, std::size_t window,
-                                   std::size_t stride, float* out,
+                                   std::size_t w, std::size_t wh,
+                                   std::size_t ww, float* out,
                                    std::size_t* winner) noexcept {
-  const std::size_t oh = (h - window) / stride + 1;
-  const std::size_t ow = (w - window) / stride + 1;
+  const std::size_t oh = h / wh;
+  const std::size_t ow = w / ww;
   std::size_t oi = first * oh * ow;
   for (std::size_t plane_id = first; plane_id < last; ++plane_id) {
     const std::size_t plane_base = plane_id * h * w;
@@ -39,10 +40,10 @@ void write_u64(std::ostream& os, std::uint64_t v) {
       for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
         float best = -std::numeric_limits<float>::infinity();
         std::size_t best_idx = 0;
-        for (std::size_t ky = 0; ky < window; ++ky) {
-          const std::size_t iy = oy * stride + ky;
-          for (std::size_t kx = 0; kx < window; ++kx) {
-            const std::size_t ix = ox * stride + kx;
+        for (std::size_t ky = 0; ky < wh; ++ky) {
+          const std::size_t iy = oy * wh + ky;
+          for (std::size_t kx = 0; kx < ww; ++kx) {
+            const std::size_t ix = ox * ww + kx;
             const float v = plane[iy * w + ix];
             if (v > best) {
               best = v;
@@ -58,31 +59,30 @@ void write_u64(std::ostream& os, std::uint64_t v) {
 }
 }  // namespace
 
-MaxPool2d::MaxPool2d(std::size_t window, std::size_t stride)
-    : window_(window), stride_(stride ? stride : window) {
-  if (window_ == 0) throw std::invalid_argument("MaxPool2d: window > 0");
+MaxPool2d::MaxPool2d(std::size_t window_h, std::size_t window_w)
+    : window_h_(window_h), window_w_(window_w) {
+  if (window_h_ == 0 || window_w_ == 0)
+    throw std::invalid_argument("MaxPool2d: window > 0");
 }
 
 Shape MaxPool2d::output_shape(const Shape& input) const {
   if (input.size() != 3)
     throw std::invalid_argument("MaxPool2d: expected (C, H, W)");
-  if (input[1] < window_ || input[2] < window_)
+  if (input[1] < window_h_ || input[2] < window_w_)
     throw std::invalid_argument("MaxPool2d: window larger than input");
-  return {input[0], (input[1] - window_) / stride_ + 1,
-          (input[2] - window_) / stride_ + 1};
+  return {input[0], input[1] / window_h_, input[2] / window_w_};
 }
 
 Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
   input_shape_ = input.shape();
   const std::size_t batch = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
-  const std::size_t oh = (h - window_) / stride_ + 1;
-  const std::size_t ow = (w - window_) / stride_ + 1;
+  const std::size_t oh = h / window_h_, ow = w / window_w_;
   Tensor out({batch, c, oh, ow});
   argmax_.resize(out.size());
   // Samples write disjoint output and argmax slices: split over the pool.
   for_each_sample(batch, c * h * w, [&](std::size_t lo, std::size_t hi) {
-    pool_planes(input.data(), lo * c, hi * c, h, w, window_, stride_,
+    pool_planes(input.data(), lo * c, hi * c, h, w, window_h_, window_w_,
                 out.data(), argmax_.data());
   });
   return out;
@@ -108,78 +108,14 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 }
 
 void MaxPool2d::save(std::ostream& os) const {
-  write_u64(os, window_);
-  write_u64(os, stride_);
+  write_u64(os, window_h_);
+  write_u64(os, window_w_);
 }
 
 std::unique_ptr<Layer> MaxPool2d::load(std::istream& is) {
-  const auto window = static_cast<std::size_t>(read_u64(is));
-  const auto stride = static_cast<std::size_t>(read_u64(is));
-  return std::make_unique<MaxPool2d>(window, stride);
-}
-
-MaxPool1d::MaxPool1d(std::size_t window, std::size_t stride)
-    : window_(window), stride_(stride ? stride : window) {
-  if (window_ == 0) throw std::invalid_argument("MaxPool1d: window > 0");
-}
-
-Shape MaxPool1d::output_shape(const Shape& input) const {
-  if (input.size() != 2)
-    throw std::invalid_argument("MaxPool1d: expected (C, L)");
-  if (input[1] < window_)
-    throw std::invalid_argument("MaxPool1d: window larger than input");
-  return {input[0], (input[1] - window_) / stride_ + 1};
-}
-
-Tensor MaxPool1d::forward(const Tensor& input, bool /*training*/) {
-  input_shape_ = input.shape();
-  const std::size_t batch = input.dim(0), c = input.dim(1);
-  const std::size_t len = input.dim(2);
-  const std::size_t ol = (len - window_) / stride_ + 1;
-  Tensor out({batch, c, ol});
-  argmax_.assign(out.size(), 0);
-  std::size_t oi = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* lane = input.data() + (n * c + ch) * len;
-      const std::size_t lane_base = (n * c + ch) * len;
-      for (std::size_t o = 0; o < ol; ++o, ++oi) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
-        for (std::size_t k = 0; k < window_; ++k) {
-          const std::size_t i = o * stride_ + k;
-          if (lane[i] > best) {
-            best = lane[i];
-            best_idx = lane_base + i;
-          }
-        }
-        out[oi] = best;
-        argmax_[oi] = best_idx;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor MaxPool1d::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(grad_output.size() == argmax_.size())
-      << "MaxPool1d::backward: gradient has " << grad_output.size()
-      << " elements but forward produced " << argmax_.size();
-  Tensor grad_input(input_shape_);
-  for (std::size_t i = 0; i < grad_output.size(); ++i)
-    grad_input[argmax_[i]] += grad_output[i];
-  return grad_input;
-}
-
-void MaxPool1d::save(std::ostream& os) const {
-  write_u64(os, window_);
-  write_u64(os, stride_);
-}
-
-std::unique_ptr<Layer> MaxPool1d::load(std::istream& is) {
-  const auto window = static_cast<std::size_t>(read_u64(is));
-  const auto stride = static_cast<std::size_t>(read_u64(is));
-  return std::make_unique<MaxPool1d>(window, stride);
+  const auto window_h = static_cast<std::size_t>(read_u64(is));
+  const auto window_w = static_cast<std::size_t>(read_u64(is));
+  return std::make_unique<MaxPool2d>(window_h, window_w);
 }
 
 }  // namespace prionn::nn

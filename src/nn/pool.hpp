@@ -1,5 +1,7 @@
-// Max pooling (2-D over NCHW, 1-D over NCL). Stores the winning index of
-// each window for the backward scatter.
+// Max pooling over NCHW with non-overlapping window_h x window_w windows
+// (the stride equals the window on each axis). The 2D-CNN pools 2 x 2, the
+// 1D-CNN 1 x 4 over its (C, 1, L) view. Stores the winning index of each
+// window for the backward scatter; ties keep the first maximum.
 #pragma once
 
 #include <memory>
@@ -11,7 +13,7 @@ namespace prionn::nn {
 
 class MaxPool2d : public Layer {
  public:
-  explicit MaxPool2d(std::size_t window = 2, std::size_t stride = 0);
+  MaxPool2d(std::size_t window_h, std::size_t window_w);
 
   std::string kind() const override { return "maxpool2d"; }
   Shape output_shape(const Shape& input) const override;
@@ -21,28 +23,9 @@ class MaxPool2d : public Layer {
   static std::unique_ptr<Layer> load(std::istream& is);
 
  private:
-  std::size_t window_;
-  std::size_t stride_;
+  std::size_t window_h_, window_w_;
   Shape input_shape_;
   std::vector<std::size_t> argmax_;  // flat input index per output element
-};
-
-class MaxPool1d : public Layer {
- public:
-  explicit MaxPool1d(std::size_t window = 2, std::size_t stride = 0);
-
-  std::string kind() const override { return "maxpool1d"; }
-  Shape output_shape(const Shape& input) const override;
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void save(std::ostream& os) const override;
-  static std::unique_ptr<Layer> load(std::istream& is);
-
- private:
-  std::size_t window_;
-  std::size_t stride_;
-  Shape input_shape_;
-  std::vector<std::size_t> argmax_;
 };
 
 }  // namespace prionn::nn

@@ -61,27 +61,4 @@ void col2im(const Conv2dGeom& g, const float* cols,
 void col2im_strided(const Conv2dGeom& g, const float* cols, std::size_t ld,
                     float* image_grad) noexcept;
 
-struct Conv1dGeom {
-  std::size_t channels = 1;
-  std::size_t length = 1;
-  std::size_t kernel = 3;
-  std::size_t stride = 1;
-  std::size_t pad = 0;
-
-  std::size_t out_len() const noexcept {
-    return (length + 2 * pad - kernel) / stride + 1;
-  }
-  std::size_t patch_rows() const noexcept { return channels * kernel; }
-  std::size_t patch_cols() const noexcept { return out_len(); }
-};
-
-void im2col_1d(const Conv1dGeom& g, const float* signal,
-               float* cols) noexcept;
-void im2col_1d_strided(const Conv1dGeom& g, const float* signal, float* cols,
-                       std::size_t ld) noexcept;
-void col2im_1d(const Conv1dGeom& g, const float* cols,
-               float* signal_grad) noexcept;
-void col2im_1d_strided(const Conv1dGeom& g, const float* cols,
-                       std::size_t ld, float* signal_grad) noexcept;
-
 }  // namespace prionn::tensor

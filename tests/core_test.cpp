@@ -155,7 +155,7 @@ TEST(ScriptImage, OneDimensionalIsFlattenedTwoDimensional) {
   const core::ScriptImageMapper mapper(opts);
   const auto img2 = mapper.map_2d("ab\ncd\n");
   const auto img1 = mapper.map_1d("ab\ncd\n");
-  EXPECT_EQ(img1.shape(), (prionn::tensor::Shape{1, 12}));
+  EXPECT_EQ(img1.shape(), (prionn::tensor::Shape{1, 1, 12}));
   for (std::size_t i = 0; i < img1.size(); ++i) EXPECT_EQ(img1[i], img2[i]);
 }
 
@@ -194,7 +194,7 @@ TEST_P(ModelZooKinds, BuildsAndPropagatesShape) {
   const prionn::tensor::Shape input =
       cfg.kind == core::ModelKind::kCnn2d
           ? prionn::tensor::Shape{4, 16, 16}
-          : prionn::tensor::Shape{4, 256};
+          : prionn::tensor::Shape{4, 1, 256};
   EXPECT_EQ(net.output_shape(input), (prionn::tensor::Shape{10}));
   EXPECT_GT(net.parameter_count(), 100u);
 }

@@ -101,9 +101,9 @@ TEST(NetworkGradient, FullBackpropMatchesFiniteDifferenceOfLoss) {
   // End-to-end check: d(cross-entropy)/d(input) through a conv stack.
   Rng rng(9);
   prionn::nn::Network net;
-  net.emplace<prionn::nn::Conv2d>(1, 2, 3, 3, 1, 1, rng);
+  net.emplace<prionn::nn::Conv2d>(1, 2, 3, 3, 1, 1, 1, rng);
   net.emplace<prionn::nn::Relu>();
-  net.emplace<prionn::nn::MaxPool2d>(2);
+  net.emplace<prionn::nn::MaxPool2d>(2, 2);
   net.emplace<prionn::nn::Flatten>();
   net.emplace<prionn::nn::Dense>(2 * 4 * 4, 3, rng);
 

@@ -177,16 +177,21 @@ for stage in "${stages[@]}"; do
       # snapshot-turnaround path, at a small scale; the timeout turns a
       # scheduler livelock into a failure. They run inside the build dir,
       # which keeps their phase-1 cache and telemetry files there.
-      note "bench smoke: fig11_turnaround, tableD_io_aware_scheduler"
+      note "bench smoke: fig11_turnaround, tableD_io_aware_scheduler," \
+        "fig07_accuracy_per_model"
       cmake -B build-check-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
       cmake --build build-check-bench -j "$jobs" \
-        --target fig11_turnaround tableD_io_aware_scheduler
+        --target fig11_turnaround tableD_io_aware_scheduler \
+        fig07_accuracy_per_model
       (cd build-check-bench &&
         timeout 600 ./bench/fig11_turnaround --jobs=400 --epochs=1)
       # tableD fails unless its PRIONN-bandwidth row holds jobs, which it
       # does at this scale (at --epochs=1 it does not).
       (cd build-check-bench &&
         timeout 600 ./bench/tableD_io_aware_scheduler --jobs=1000 --epochs=3)
+      # The only end-to-end run of the 1D-CNN in this gate.
+      (cd build-check-bench &&
+        timeout 300 ./bench/fig07_accuracy_per_model --jobs=300 --epochs=2)
       record "PASS  bench-smoke"
       ;;
     *)
