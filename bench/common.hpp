@@ -67,10 +67,12 @@ std::vector<sched::ScheduledJob> simulate_schedule(
 void export_telemetry(const std::string& stem);
 
 /// The Random-Forest baseline run under the same online protocol PRIONN
-/// uses (predict at submission; refit every 100 submissions on the 500
-/// most recent completions, Table-1 features). `target` extracts the
-/// training label from a completed job. Returns one prediction per job
-/// (unset before the first fit).
+/// uses, on the same core::ProtocolCursor (predict at submission; first
+/// fit after `retrain_interval` completions, then refit every
+/// `retrain_interval` submissions on the `train_window` most recent
+/// completions, Table-1 features). `target` extracts the training label
+/// from a completed job. Returns one prediction per job (unset before
+/// the first fit).
 std::vector<std::optional<double>> online_random_forest(
     const std::vector<trace::JobRecord>& jobs,
     const std::function<double(const trace::JobRecord&)>& target,

@@ -1,7 +1,6 @@
 #include "core/online.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -20,6 +19,41 @@ void OnlineProtocolOptions::validate(const char* who) const {
   if (embedding_corpus == 0) fail("embedding_corpus must be > 0");
 }
 
+bool OnlineProtocolOptions::due(std::size_t completions,
+                                std::size_t since_train, bool trained,
+                                bool rejected) const {
+  if (completions == 0) return false;
+  if (trained) return since_train >= retrain_interval;
+  return completions >= min_initial_completions &&
+         (!rejected || since_train >= retrain_interval);
+}
+
+ProtocolCursor::ProtocolCursor(const std::vector<trace::JobRecord>& jobs,
+                               const OnlineProtocolOptions& protocol)
+    : jobs_(jobs), protocol_(protocol), in_flight_(LaterEnd{&jobs}) {
+  completed_.reserve(jobs.size());
+}
+
+std::span<const std::size_t> ProtocolCursor::arrive(std::size_t i) {
+  const std::size_t before = completed_.size();
+  while (!in_flight_.empty() &&
+         jobs_[in_flight_.top()].end_time <= jobs_[i].submit_time) {
+    completed_.push_back(in_flight_.top());
+    in_flight_.pop();
+  }
+  return std::span<const std::size_t>(completed_).subspan(before);
+}
+
+void ProtocolCursor::submit(std::size_t i) {
+  ++since_train_;
+  in_flight_.push(i);
+}
+
+std::span<const std::size_t> ProtocolCursor::recent(std::size_t n) const {
+  const std::size_t count = std::min(n, completed_.size());
+  return std::span<const std::size_t>(completed_).last(count);
+}
+
 std::vector<std::size_t> OnlineResult::predicted_indices() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < predictions.size(); ++i)
@@ -36,43 +70,17 @@ OnlineResult OnlineTrainer::run(const std::vector<trace::JobRecord>& jobs) {
   OnlineResult result;
   result.predictions.assign(jobs.size(), std::nullopt);
 
-  // Jobs complete asynchronously: a min-heap on end_time feeds the pool of
-  // completed jobs as the submission clock advances.
-  const auto later_end = [&jobs](std::size_t a, std::size_t b) {
-    return jobs[a].end_time > jobs[b].end_time;
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(later_end)>
-      in_flight(later_end);
-  std::vector<std::size_t> completed;  // indices, in completion order
-  completed.reserve(jobs.size());
-
+  ProtocolCursor cursor(jobs, options_);
   bool embedding_ready =
       options_.predictor.image.transform != Transform::kWord2Vec;
-  std::size_t submissions_since_train = 0;
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& job = jobs[i];
-    // Advance the completion pool to this submission instant.
-    while (!in_flight.empty() &&
-           jobs[in_flight.top()].end_time <= job.submit_time) {
-      completed.push_back(in_flight.top());
-      in_flight.pop();
-    }
-
-    // Retrain every `retrain_interval` submissions once enough history
-    // exists (and immediately for the very first training event).
-    const bool due = !predictor_.trained()
-                         ? completed.size() >= options_.min_initial_completions
-                         : submissions_since_train >= options_.retrain_interval;
-    if (due && !completed.empty()) {
-      const std::size_t window =
-          std::min(options_.train_window, completed.size());
+    cursor.arrive(i);
+    if (cursor.due(predictor_.trained(), /*rejected=*/false)) {
       std::vector<trace::JobRecord> recent;
-      recent.reserve(window);
-      for (std::size_t k = completed.size() - window; k < completed.size();
-           ++k)
-        recent.push_back(jobs[completed[k]]);
+      for (const std::size_t k : cursor.recent(options_.train_window))
+        recent.push_back(jobs[k]);
 
       if (options_.reinitialize_on_retrain && predictor_.trained()) {
         // Cold-start ablation: throw the learned weights away but keep the
@@ -87,12 +95,8 @@ OnlineResult OnlineTrainer::run(const std::vector<trace::JobRecord>& jobs) {
 
       if (!embedding_ready) {
         std::vector<std::string> corpus;
-        const std::size_t corpus_size =
-            std::min(options_.embedding_corpus, completed.size());
-        corpus.reserve(corpus_size);
-        for (std::size_t k = completed.size() - corpus_size;
-             k < completed.size(); ++k)
-          corpus.push_back(jobs[completed[k]].script);
+        for (const std::size_t k : cursor.recent(options_.embedding_corpus))
+          corpus.push_back(jobs[k].script);
         const std::uint64_t t0 = util::Timer::now_ns();
         predictor_.fit_embedding(corpus);
         result.train_ns += util::Timer::now_ns() - t0;
@@ -108,7 +112,7 @@ OnlineResult OnlineTrainer::run(const std::vector<trace::JobRecord>& jobs) {
       PRIONN_OBS_INC("prionn_retrains_total",
                      "training events of the online protocol");
       ++result.training_events;
-      submissions_since_train = 0;
+      cursor.retrained();
     }
 
     if (predictor_.trained()) {
@@ -124,8 +128,7 @@ OnlineResult OnlineTrainer::run(const std::vector<trace::JobRecord>& jobs) {
       PRIONN_OBS_OBSERVE_NS("prionn_predict_latency_ns",
                             "per-job prediction latency", elapsed_ns);
     }
-    ++submissions_since_train;
-    in_flight.push(i);
+    cursor.submit(i);
   }
   result.train_seconds = static_cast<double>(result.train_ns) / 1e9;
   result.predict_seconds = static_cast<double>(result.predict_ns) / 1e9;

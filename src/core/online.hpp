@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <queue>
+#include <span>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -15,8 +17,9 @@
 namespace prionn::core {
 
 /// The paper's §2.3 protocol parameters, shared by every consumer of the
-/// online cadence: OnlineTrainer and serve::PredictionService. One
-/// definition, one validation.
+/// online cadence: ProtocolCursor (and through it OnlineTrainer,
+/// serve::ServingSession and the benches' random-forest baseline) and
+/// serve::PredictionService. One definition, one validation, one rule.
 struct OnlineProtocolOptions {
   std::size_t retrain_interval = 100;  // submissions between retrains
   std::size_t train_window = 500;      // most recent completions used
@@ -28,6 +31,56 @@ struct OnlineProtocolOptions {
   /// with (zero interval/window/corpus). Called by every consumer at
   /// construction, so a bad configuration fails before any replay work.
   void validate(const char* who) const;
+
+  /// The retrain rule: never before the first completion; untrained, once
+  /// `min_initial_completions` jobs have completed (after a rejected
+  /// first attempt, only once a full interval has passed since it);
+  /// trained, every `retrain_interval` submissions.
+  bool due(std::size_t completions, std::size_t since_train, bool trained,
+           bool rejected) const;
+};
+
+/// The §2.3 clock over a completed-jobs trace (sorted by submit time):
+/// jobs complete in end_time order as the submission clock passes their
+/// end times, and retrains fall due by OnlineProtocolOptions::due. Every
+/// sequential replay loop steps one of these, so all of them see the
+/// same completions in the same order and retrain at the same
+/// submissions.
+class ProtocolCursor {
+ public:
+  /// `jobs` must outlive the cursor.
+  ProtocolCursor(const std::vector<trace::JobRecord>& jobs,
+                 const OnlineProtocolOptions& protocol);
+
+  /// Advance the clock to job i's submission; returns the indices of the
+  /// jobs that completed since the previous call, in completion order.
+  std::span<const std::size_t> arrive(std::size_t i);
+  /// Job i was submitted: it is in flight and counts toward the interval.
+  void submit(std::size_t i);
+  bool due(bool trained, bool rejected) const {
+    return protocol_.due(completed_.size(), since_train_, trained,
+                         rejected);
+  }
+  /// A retrain ran `since_train` submissions ago (0: just now; a resumed
+  /// checkpoint passes its recovery value).
+  void retrained(std::size_t since_train = 0) { since_train_ = since_train; }
+  /// The last min(n, completions) completed indices, oldest first.
+  std::span<const std::size_t> recent(std::size_t n) const;
+
+ private:
+  struct LaterEnd {
+    const std::vector<trace::JobRecord>* jobs;
+    bool operator()(std::size_t a, std::size_t b) const {
+      return (*jobs)[a].end_time > (*jobs)[b].end_time;
+    }
+  };
+
+  const std::vector<trace::JobRecord>& jobs_;
+  OnlineProtocolOptions protocol_;
+  std::priority_queue<std::size_t, std::vector<std::size_t>, LaterEnd>
+      in_flight_;
+  std::vector<std::size_t> completed_;  // indices, in completion order
+  std::size_t since_train_ = 0;
 };
 
 struct OnlineOptions : OnlineProtocolOptions {

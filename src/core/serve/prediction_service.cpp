@@ -152,12 +152,13 @@ void PredictionService::flush() {
   }
 }
 
-bool PredictionService::retrain_now() {
+bool PredictionService::retrain_now(std::uint64_t job_index,
+                                    std::uint64_t checkpoint_generation) {
   if (options_.background_retrain)
     throw std::logic_error(
         "PredictionService::retrain_now: the background trainer owns "
         "retraining for this service");
-  return run_retrain();
+  return run_retrain(/*claimed=*/false, job_index, checkpoint_generation);
 }
 
 void PredictionService::restore(PrionnPredictor predictor) {
@@ -223,15 +224,8 @@ ServiceStats PredictionService::stats() const {
 }
 
 bool PredictionService::retrain_due() const {
-  if (window_.empty()) return false;
-  if (!trained_) {
-    // A rejected first attempt also waits out a full interval before the
-    // retry.
-    return total_completions_ >= options_.protocol.min_initial_completions &&
-           (rejected_retrains_ == 0 ||
-            submissions_since_train_ >= options_.protocol.retrain_interval);
-  }
-  return submissions_since_train_ >= options_.protocol.retrain_interval;
+  return options_.protocol.due(total_completions_, submissions_since_train_,
+                               trained_, rejected_retrains_ > 0);
 }
 
 void PredictionService::batcher_loop() {
@@ -403,11 +397,15 @@ void PredictionService::trainer_loop() {
       retrain_requested_ = false;
       trainer_busy_ = true;
     }
-    run_retrain(/*claimed=*/true);
+    // Concurrent mode cannot checkpoint, so no write has happened.
+    run_retrain(/*claimed=*/true,
+                submitted_.load(std::memory_order_relaxed),
+                /*checkpoint_generation=*/0);
   }
 }
 
-bool PredictionService::run_retrain(bool claimed) {
+bool PredictionService::run_retrain(bool claimed, std::uint64_t job_index,
+                                    std::uint64_t checkpoint_generation) {
   PRIONN_OBS_SPAN("serve.retrain");
   util::Timer retrain_timer;
 
@@ -479,6 +477,8 @@ bool PredictionService::run_retrain(bool claimed) {
 
   obs::RetrainEvent event;
   event.window_id = attempt;
+  event.job_index = job_index;
+  event.checkpoint_generation = checkpoint_generation;
   event.window_size = recent.size();
   event.holdback_size = holdback.size();
 

@@ -153,8 +153,11 @@ class PredictionService {
   /// Run one training event synchronously on the calling thread (only
   /// valid with background_retrain == false). Returns true when the new
   /// model was accepted and swapped in, false when the window was empty
-  /// or the guards rejected it.
-  bool retrain_now();
+  /// or the guards rejected it. `job_index` (the submission it precedes)
+  /// and `checkpoint_generation` (durable writes so far) stamp its
+  /// obs::RetrainEvent.
+  bool retrain_now(std::uint64_t job_index = 0,
+                   std::uint64_t checkpoint_generation = 0);
 
   /// Install a predictor resumed from a checkpoint as the live model:
   /// marks the embedding fitted, drops cached encodings, and refits the
@@ -196,8 +199,10 @@ class PredictionService {
   void serve_batch(std::vector<Request>& batch);
   /// One full training event: snapshot -> shadow train -> guards ->
   /// swap-or-discard. Returns true when the shadow was published.
-  /// `claimed` means the caller already owns the trainer_busy_ slot.
-  bool run_retrain(bool claimed = false);
+  /// `claimed` means the caller already owns the trainer_busy_ slot; the
+  /// other two arguments stamp the RetrainEvent.
+  bool run_retrain(bool claimed, std::uint64_t job_index,
+                   std::uint64_t checkpoint_generation);
   /// Cadence check; callers hold window_mutex_.
   bool retrain_due() const PRIONN_REQUIRES(window_mutex_);
   void fulfill(Request& request, const ProvenancedPrediction& prediction);

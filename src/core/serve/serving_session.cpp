@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -43,27 +42,14 @@ SessionResult ServingSession::replay(
   result.predictions.assign(jobs.size(), std::nullopt);
   std::vector<std::future<ProvenancedPrediction>> futures(jobs.size());
 
-  // Same completion model as OnlineTrainer: a min-heap on end_time feeds
-  // the training window as the submission clock advances, so the service
-  // sees completions in the identical order the sequential replay would.
-  const auto later_end = [&jobs](std::size_t a, std::size_t b) {
-    return jobs[a].end_time > jobs[b].end_time;
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(later_end)>
-      in_flight(later_end);
-  std::size_t completed = 0;
-  const auto drain_until = [&](double submit_time) {
-    while (!in_flight.empty() &&
-           jobs[in_flight.top()].end_time <= submit_time) {
-      service_->complete(jobs[in_flight.top()]);
-      in_flight.pop();
-      ++completed;
-    }
+  // The same §2.3 clock as OnlineTrainer, so the service sees completions
+  // in the identical order the sequential replay would.
+  ProtocolCursor cursor(jobs, options_.service.protocol);
+  const auto arrive = [&](std::size_t i) {
+    for (const std::size_t k : cursor.arrive(i)) service_->complete(jobs[k]);
   };
 
   std::size_t start = 0;
-  std::size_t submissions_since_train = 0;
   if (!options_.checkpoint_path.empty()) {
     auto resumed = resume_checkpoint(options_.checkpoint_path);
     result.resume_source = resumed.source;
@@ -72,16 +58,15 @@ SessionResult ServingSession::replay(
       const auto& st = resumed.checkpoint->state;
       start = std::min<std::size_t>(
           static_cast<std::size_t>(st.next_index), jobs.size());
-      submissions_since_train =
-          static_cast<std::size_t>(st.submissions_since_train);
       // Replay the completion bookkeeping of everything the previous
       // incarnation processed (no model work), up to the window the
       // checkpointed training event saw, then install its model.
       for (std::size_t i = 0; i < start; ++i) {
-        drain_until(jobs[i].submit_time);
-        in_flight.push(i);
+        arrive(i);
+        cursor.submit(i);
       }
-      if (start < jobs.size()) drain_until(jobs[start].submit_time);
+      if (start < jobs.size()) arrive(start);
+      cursor.retrained(static_cast<std::size_t>(st.submissions_since_train));
       service_->restore(std::move(resumed.checkpoint->predictor));
     }
   }
@@ -112,52 +97,41 @@ SessionResult ServingSession::replay(
   };
 
   const bool deterministic = options_.mode == ReplayMode::kDeterministic;
-  const OnlineProtocolOptions& protocol = options_.service.protocol;
-  std::size_t rejected_attempts = 0;
   std::size_t end = jobs.size();
 
   for (std::size_t i = start; i < jobs.size(); ++i) {
-    drain_until(jobs[i].submit_time);
+    arrive(i);
 
-    if (deterministic) {
-      // OnlineTrainer's cadence, verbatim (plus a full-interval backoff
-      // after a guard-rejected first attempt): retrain at exactly these
-      // submissions, with a flush() barrier first so every outstanding
-      // request is served by the pre-retrain model.
-      bool due;
-      if (!service_->trained()) {
-        due = completed >= protocol.min_initial_completions &&
-              (rejected_attempts == 0 ||
-               submissions_since_train >= protocol.retrain_interval);
-      } else {
-        due = submissions_since_train >= protocol.retrain_interval;
-      }
-      if (due && completed > 0 && !service_->stats().nn_benched) {
-        service_->flush();
-        close_window(i);
-        ++retrain_attempts;
-        submissions_since_train = 0;
-        if (!service_->retrain_now()) {
-          ++rejected_attempts;
-        } else if (!options_.checkpoint_path.empty()) {
-          // A retrain was just accepted, so the embedding is fitted.
-          OnlineCheckpointState st;
-          st.next_index = i;
-          st.embedding_ready = true;
-          service_->write_checkpoint(options_.checkpoint_path, st);
-          ++checkpoint_generation;
-          if (util::fault::fire(util::fault::FaultPoint::kCrash)) {
-            result.crashed = true;
-            result.crash_index = end = i;
-            break;
-          }
+    // Deterministic mode retrains at exactly the submissions where
+    // OnlineTrainer would (plus a full-interval backoff after a
+    // guard-rejected first attempt), with a flush() barrier first so
+    // every outstanding request is served by the pre-retrain model. While
+    // untrained, every attempt so far was rejected.
+    if (deterministic &&
+        cursor.due(service_->trained(), retrain_attempts > 0) &&
+        !service_->stats().nn_benched) {
+      service_->flush();
+      close_window(i);
+      ++retrain_attempts;
+      cursor.retrained();
+      if (service_->retrain_now(i, checkpoint_generation) &&
+          !options_.checkpoint_path.empty()) {
+        // A retrain was just accepted, so the embedding is fitted.
+        OnlineCheckpointState st;
+        st.next_index = i;
+        st.embedding_ready = true;
+        service_->write_checkpoint(options_.checkpoint_path, st);
+        ++checkpoint_generation;
+        if (util::fault::fire(util::fault::FaultPoint::kCrash)) {
+          result.crashed = true;
+          result.crash_index = end = i;
+          break;
         }
       }
     }
 
     futures[i] = service_->submit(jobs[i]);
-    ++submissions_since_train;
-    in_flight.push(i);
+    cursor.submit(i);
   }
 
   service_->flush();

@@ -79,7 +79,8 @@ class ServingSession {
 
   /// Replay a completed-jobs trace (sorted by submit time) through the
   /// service: completions are fed to the training window as the
-  /// submission clock passes their end times, exactly like OnlineTrainer.
+  /// submission clock passes their end times, by the same ProtocolCursor
+  /// OnlineTrainer steps.
   /// May be called again to continue the protocol on a further trace
   /// segment. With a checkpoint path, resumes from the checkpoint first.
   SessionResult replay(const std::vector<trace::JobRecord>& jobs);

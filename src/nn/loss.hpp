@@ -1,6 +1,5 @@
 // Losses. The paper's models are classifiers (softmax over runtime / IO
-// bins), so softmax cross-entropy is the primary loss; MSE is kept for the
-// regression variants exercised in tests.
+// bins), so softmax cross-entropy is the only loss.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +35,5 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
 
 /// Per-row softmax probabilities of (N x C) logits (prediction path).
 tensor::Tensor softmax_probabilities(const tensor::Tensor& logits);
-
-/// Mean squared error against targets of identical shape.
-LossResult mean_squared_error(const tensor::Tensor& output,
-                              const tensor::Tensor& target);
 
 }  // namespace prionn::nn

@@ -40,7 +40,8 @@ struct RetrainEvent {
 /// One prediction window: all submissions served between two retrain
 /// boundaries (or before the first / after the last one).
 struct WindowEvent {
-  std::uint64_t window_id = 0;     // matches the retrain that opened it
+  std::uint64_t window_id = 0;     // opened by retrain window_id - 1;
+                                   // 0 is the pre-training window
   std::uint64_t first_job_index = 0;
   std::size_t predictions = 0;
   std::size_t from_neural_net = 0;  // provenance counts

@@ -350,14 +350,4 @@ void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
       beta, c);
 }
 
-void gemv(std::size_t m, std::size_t k, const float* a, const float* x,
-          float beta, float* y) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float acc = beta == 0.0f ? 0.0f : beta * y[i];
-    const float* ai = a + i * k;
-    for (std::size_t p = 0; p < k; ++p) acc += ai[p] * x[p];
-    y[i] = acc;
-  }
-}
-
 }  // namespace prionn::tensor

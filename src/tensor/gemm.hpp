@@ -53,8 +53,4 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
              const float* a, const BlockSource& b, float beta, float* c);
 
-/// y[m] = A[m x k] * x[k] (+ y if beta == 1).
-void gemv(std::size_t m, std::size_t k, const float* a, const float* x,
-          float beta, float* y);
-
 }  // namespace prionn::tensor

@@ -3,7 +3,9 @@
 // trainer, and the phase-2 pipeline helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "core/bins.hpp"
@@ -440,6 +442,110 @@ TEST(Online, RejectsBadOptions) {
   opts.predictor = tiny_predictor();
   opts.retrain_interval = 0;
   EXPECT_THROW(core::OnlineTrainer{opts}, std::invalid_argument);
+}
+
+// ------------------------------------------------------ protocol cursor ---
+
+namespace {
+
+// Ten jobs submitted every 10 s. Job 2 ends exactly at job 4's submission
+// (the <= boundary), jobs 5 and 6 end together, and 4, 8, 9 never end
+// within the trace. Completions in order: 1, 0, 3, 2 (all by t=40), then
+// 5 and 6 (by t=70), then 7 (by t=80).
+std::vector<tr::JobRecord> hand_trace() {
+  const double ends[] = {25, 15, 40, 35, 1000, 65, 65, 75, 1000, 1000};
+  std::vector<tr::JobRecord> jobs(10);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].submit_time = 10.0 * static_cast<double>(i);
+    jobs[i].end_time = ends[i];
+  }
+  return jobs;
+}
+
+// Steps a cursor over the trace and returns the submissions at which a
+// retrain ran; attempts listed in `rejected_at` leave the model untrained.
+std::vector<std::size_t> retrain_points(
+    const core::OnlineProtocolOptions& protocol,
+    const std::vector<std::size_t>& rejected_at = {}) {
+  const auto jobs = hand_trace();
+  core::ProtocolCursor cursor(jobs, protocol);
+  std::vector<std::size_t> points;
+  bool trained = false;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    cursor.arrive(i);
+    if (cursor.due(trained, /*rejected=*/!points.empty() && !trained)) {
+      points.push_back(i);
+      trained = std::find(rejected_at.begin(), rejected_at.end(), i) ==
+                rejected_at.end();
+      cursor.retrained();
+    }
+    cursor.submit(i);
+  }
+  return points;
+}
+
+std::vector<std::size_t> as_vector(std::span<const std::size_t> s) {
+  return {s.begin(), s.end()};
+}
+
+}  // namespace
+
+TEST(ProtocolCursor, HandTraceCompletionOrder) {
+  const auto jobs = hand_trace();
+  core::ProtocolCursor cursor(jobs, core::OnlineProtocolOptions{});
+  const std::vector<std::vector<std::size_t>> expected = {
+      {}, {}, {1}, {0}, {3, 2}, {}, {}, {5, 6}, {7}, {}};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    auto arrived = as_vector(cursor.arrive(i));
+    // 5 and 6 tie on end_time; only the set is fixed by the trace.
+    if (i == 7) std::sort(arrived.begin(), arrived.end());
+    EXPECT_EQ(arrived, expected[i]) << "arrive(" << i << ")";
+    EXPECT_TRUE(cursor.arrive(i).empty()) << "second arrive(" << i << ")";
+    if (i == 4) {
+      EXPECT_EQ(as_vector(cursor.recent(10)),
+                (std::vector<std::size_t>{1, 0, 3, 2}));
+      EXPECT_EQ(as_vector(cursor.recent(2)),
+                (std::vector<std::size_t>{3, 2}));
+    }
+    cursor.submit(i);
+  }
+}
+
+TEST(ProtocolCursor, HandTraceCadence) {
+  core::OnlineProtocolOptions protocol;
+  protocol.retrain_interval = 3;
+
+  // No first event before the first completion (job 1, seen at i = 2),
+  // even when no minimum is asked for; then every 3 submissions.
+  protocol.min_initial_completions = 0;
+  EXPECT_EQ(retrain_points(protocol), (std::vector<std::size_t>{2, 5, 8}));
+
+  // Four completions first exist at i = 4, mid-trace.
+  protocol.min_initial_completions = 4;
+  EXPECT_EQ(retrain_points(protocol), (std::vector<std::size_t>{4, 7}));
+
+  // Two completions exist at i = 3. That first attempt is rejected, so
+  // the retry waits a full interval (i = 6, not i = 4).
+  protocol.min_initial_completions = 2;
+  EXPECT_EQ(retrain_points(protocol, /*rejected_at=*/{3}),
+            (std::vector<std::size_t>{3, 6, 9}));
+
+  // Interval 100 on a 10-job trace: one event only.
+  protocol.retrain_interval = 100;
+  EXPECT_EQ(retrain_points(protocol), (std::vector<std::size_t>{3}));
+}
+
+TEST(ProtocolCursor, DueRule) {
+  core::OnlineProtocolOptions p;
+  p.retrain_interval = 3;
+  p.min_initial_completions = 0;
+  EXPECT_FALSE(p.due(0, 99, /*trained=*/true, /*rejected=*/false));
+  EXPECT_FALSE(p.due(0, 99, false, false));
+  EXPECT_TRUE(p.due(1, 0, false, false));
+  EXPECT_FALSE(p.due(1, 2, false, /*rejected=*/true));
+  EXPECT_TRUE(p.due(1, 3, false, true));
+  EXPECT_FALSE(p.due(50, 2, true, false));
+  EXPECT_TRUE(p.due(50, 3, true, false));
 }
 
 // ------------------------------------------------------------- pipeline ---

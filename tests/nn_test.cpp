@@ -226,14 +226,6 @@ TEST(Loss, CrossEntropyRejectsBadLabels) {
                std::invalid_argument);
 }
 
-TEST(Loss, MseKnownValue) {
-  Tensor out({2}, std::vector<float>{1, 3});
-  Tensor target({2}, std::vector<float>{0, 0});
-  const auto r = nn::mean_squared_error(out, target);
-  EXPECT_NEAR(r.value, (1.0 + 9.0) / 2.0, 1e-6);
-  EXPECT_NEAR(r.grad[1], 2.0f * 3.0f / 2.0f, 1e-6f);
-}
-
 // ------------------------------------------------------------ dropout ---
 
 TEST(Dropout, InferenceIsIdentity) {

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/predictor.hpp"
 #include "core/serve/serving_session.hpp"
 #include "nn/loss.hpp"
+#include "obs/obs.hpp"
 #include "trace/store.hpp"
 #include "trace/swf.hpp"
 #include "trace/workload.hpp"
@@ -571,6 +573,44 @@ TEST(ResilientOnline, RepeatedRejectionsBenchTheNn) {
   // Serving never stopped: everything fell through to the last resort.
   for (const auto& p : result.predictions) ASSERT_TRUE(p.has_value());
 }
+
+#if PRIONN_OBS_ENABLED
+// The event log alone places every retrain: the RetrainEvent of attempt a
+// names the submission that opens prediction window a + 1 (window 0 is
+// the pre-training one), and counts the checkpoint writes before it.
+TEST(ResilientOnline, RetrainEventsCarryJobIndexAndCheckpointGeneration) {
+  CheckpointPath path("prionn_test_events.ckpt");
+  const auto jobs = tiny_jobs(220);
+  auto& log = prionn::obs::event_log();
+  log.clear();
+  serve::ServingSession session(tiny_session_options(path.str()));
+  const auto result = session.replay(jobs);
+  ASSERT_EQ(result.stats.rejected_retrains, 0u);
+
+  std::vector<prionn::obs::RetrainEvent> retrains;
+  std::map<std::uint64_t, prionn::obs::WindowEvent> windows;
+  for (const auto& line : log.lines()) {
+    if (auto r = prionn::obs::EventLog::parse_retrain(line))
+      retrains.push_back(*r);
+    else if (auto w = prionn::obs::EventLog::parse_window(line))
+      windows[w->window_id] = *w;
+  }
+  log.clear();
+
+  ASSERT_GE(retrains.size(), 3u);
+  ASSERT_EQ(retrains.size(), result.training_events);
+  ASSERT_EQ(windows.size(), retrains.size() + 1);
+  EXPECT_EQ(windows[0].first_job_index, 0u);
+  for (std::size_t a = 0; a < retrains.size(); ++a) {
+    EXPECT_EQ(retrains[a].window_id, a);
+    EXPECT_GT(retrains[a].job_index, 0u);
+    EXPECT_EQ(retrains[a].job_index, windows[a + 1].first_job_index)
+        << "retrain " << a;
+    // Every earlier retrain was accepted, so each wrote a checkpoint.
+    EXPECT_EQ(retrains[a].checkpoint_generation, a) << "retrain " << a;
+  }
+}
+#endif  // PRIONN_OBS_ENABLED
 
 // ------------------------------------------------- e2e acceptance ---
 

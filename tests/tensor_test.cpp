@@ -197,15 +197,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmTransposed,
                                            GemmShape{16, 33, 65},
                                            GemmShape{37, 128, 41}));
 
-TEST(Gemv, MatchesGemmRow) {
-  const auto a = random_vec(6 * 9, 8);
-  const auto x = random_vec(9, 9);
-  std::vector<float> y(6, 0.0f), y_ref(6, 0.0f);
-  t::gemv(6, 9, a.data(), x.data(), 0.0f, y.data());
-  naive_gemm(6, 9, 1, 1.0f, a.data(), x.data(), 0.0f, y_ref.data());
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-4f);
-}
-
 // ----------------------------------------------------------------- Ops ---
 
 TEST(Ops, Argmax) {

@@ -178,11 +178,13 @@ for stage in "${stages[@]}"; do
       # scheduler livelock into a failure. They run inside the build dir,
       # which keeps their phase-1 cache and telemetry files there.
       note "bench smoke: fig11_turnaround, tableD_io_aware_scheduler," \
-        "fig07_accuracy_per_model"
+        "fig07_accuracy_per_model, fig08_runtime_accuracy," \
+        "fig09_io_accuracy, tableC_warm_vs_cold, table2_smith_replication"
       cmake -B build-check-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
       cmake --build build-check-bench -j "$jobs" \
         --target fig11_turnaround tableD_io_aware_scheduler \
-        fig07_accuracy_per_model
+        fig07_accuracy_per_model fig08_runtime_accuracy fig09_io_accuracy \
+        tableC_warm_vs_cold table2_smith_replication
       (cd build-check-bench &&
         timeout 600 ./bench/fig11_turnaround --jobs=400 --epochs=1)
       # tableD fails unless its PRIONN-bandwidth row holds jobs, which it
@@ -192,6 +194,13 @@ for stage in "${stages[@]}"; do
       # The only end-to-end run of the 1D-CNN in this gate.
       (cd build-check-bench &&
         timeout 300 ./bench/fig07_accuracy_per_model --jobs=300 --epochs=2)
+      # The only end-to-end runs of the online RF baseline loop and (tableC)
+      # of the cold-restart path in this gate.
+      (cd build-check-bench &&
+        timeout 300 ./bench/fig08_runtime_accuracy --jobs=400 --epochs=1 &&
+        timeout 300 ./bench/fig09_io_accuracy --jobs=400 --epochs=1 &&
+        timeout 300 ./bench/tableC_warm_vs_cold --jobs=400 --epochs=1 &&
+        timeout 300 ./bench/table2_smith_replication)
       record "PASS  bench-smoke"
       ;;
     *)
