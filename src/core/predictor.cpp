@@ -3,15 +3,44 @@
 #include "obs/obs.hpp"
 #include "tensor/ops.hpp"
 #include "util/fault.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 namespace prionn::core {
+
+namespace {
+
+/// Runs head(0) .. head(heads - 1) side by side over the calling thread's
+/// lanes, each at lane width 1: the heads are independent networks, and
+/// every layer gives the same bits at any width, so this moves work but
+/// changes no arithmetic. At one lane (the serving batcher) the same loop
+/// runs them in series, inline. Every head runs to the end; then the
+/// exception of the lowest-indexed head that threw is rethrown, so which
+/// error the caller sees never depends on timing.
+void for_each_head(std::size_t heads,
+                   const std::function<void(std::size_t)>& head) {
+  std::vector<std::exception_ptr> errors(heads);
+  util::ThreadPool::global().parallel_for(0, heads, [&](std::size_t i) {
+    const util::ThreadPool::LaneWidth serial(1);
+    try {
+      head(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
+}
+
+}  // namespace
 
 PrionnPredictor::PrionnPredictor(PredictorOptions options)
     : options_(options),
@@ -129,15 +158,21 @@ PrionnPredictor::TrainReport PrionnPredictor::train(
   fit.batch_size = options_.batch_size;
   fit.shuffle_seed = options_.seed + training_events_;
   fit.max_gradient_norm = options_.max_gradient_norm;
+  struct Head {
+    nn::Network& net;
+    nn::Adam& opt;
+    const std::vector<std::uint32_t>& labels;
+    double& loss;
+  };
   TrainReport report;
-  report.runtime_loss =
-      runtime_net_.fit(batch, runtime_labels, runtime_opt_, fit).final_loss();
-  if (options_.predict_io) {
-    report.read_loss =
-        read_net_.fit(batch, read_labels, read_opt_, fit).final_loss();
-    report.write_loss =
-        write_net_.fit(batch, write_labels, write_opt_, fit).final_loss();
-  }
+  const Head heads[] = {
+      {runtime_net_, runtime_opt_, runtime_labels, report.runtime_loss},
+      {read_net_, read_opt_, read_labels, report.read_loss},
+      {write_net_, write_opt_, write_labels, report.write_loss}};
+  for_each_head(options_.predict_io ? 3 : 1, [&](std::size_t i) {
+    const Head& h = heads[i];
+    h.loss = h.net.fit(batch, h.labels, h.opt, fit).final_loss();
+  });
   trained_ = true;
   ++training_events_;
   return report;
@@ -159,12 +194,14 @@ std::vector<ConfidentPrediction> PrionnPredictor::predict_batch_mapped(
   PRIONN_OBS_SPAN("predict.forward");
   const std::size_t n = batch.dim(0);
 
-  const auto runtime_top = runtime_net_.predict_top1(batch);
-  std::vector<nn::Network::Top1> read_top, write_top;
-  if (options_.predict_io) {
-    read_top = read_net_.predict_top1(batch);
-    write_top = write_net_.predict_top1(batch);
-  }
+  nn::Network* const nets[] = {&runtime_net_, &read_net_, &write_net_};
+  std::vector<nn::Network::Top1> top[3];
+  for_each_head(options_.predict_io ? 3 : 1, [&](std::size_t i) {
+    top[i] = nets[i]->predict_top1(batch);
+  });
+  const auto& runtime_top = top[0];
+  const auto& read_top = top[1];
+  const auto& write_top = top[2];
 
   std::vector<ConfidentPrediction> out(n);
   for (std::size_t i = 0; i < n; ++i) {

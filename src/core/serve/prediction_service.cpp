@@ -232,7 +232,7 @@ void PredictionService::batcher_loop() {
   // Inference runs inline on this thread: it never queues on the pool's
   // submission lock behind the shadow trainer's parallel loops, which
   // hold the rest of the pool for a whole training event.
-  util::ThreadPool::set_lane_width(1);
+  const util::ThreadPool::LaneWidth inline_lanes(1);
   for (;;) {
     std::vector<Request> batch;
     {
@@ -384,7 +384,7 @@ void PredictionService::fulfill(Request& request,
 
 void PredictionService::trainer_loop() {
   // Leave one core of the pool for the batcher's inline inference.
-  util::ThreadPool::set_lane_width(
+  const util::ThreadPool::LaneWidth trainer_lanes(
       std::max<std::size_t>(1, util::ThreadPool::global().size() - 1));
   for (;;) {
     {

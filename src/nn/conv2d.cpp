@@ -10,14 +10,15 @@
 #include "nn/sample_parallel.hpp"
 #include "tensor/gemm.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace prionn::nn {
 
 namespace {
-// The backward pass runs in sub-batches whose d(cols) matrix stays within
-// this many floats, so the one-hot transform (128 input channels) cannot
-// blow memory. The split also fixes where the weight gradient's depth
-// blocks start, so it is part of the arithmetic.
+// The weight gradient runs in sub-batches whose patch matrix would hold
+// at most this many floats. No d(cols) buffer of that size is formed any
+// more; the bound stays because the split fixes where the weight
+// gradient's depth blocks start, so it is part of the arithmetic.
 constexpr std::size_t kMaxColsFloats = 16u << 20;  // 64 MiB
 
 /// Backward scratch of the calling thread, shared by every Conv2d of every
@@ -25,10 +26,11 @@ constexpr std::size_t kMaxColsFloats = 16u << 20;  // 64 MiB
 /// serves them all: a retrain sizes it once for the widest layer instead of
 /// allocating per call, and keeps no per-layer copy. The patch matrix
 /// itself is never stored: the forward and the weight gradient lower it
-/// panel by panel inside the GEMM.
+/// panel by panel inside the GEMM, and the input gradient forms one
+/// sample's d(cols) at a time.
 struct Scratch {
   std::vector<float> dy;         // dY gathered (oc x wide)
-  std::vector<float> grad_cols;  // d(cols) (pr x wide)
+  std::vector<float> grad_cols;  // one sample's d(cols) (pr x pixels)
 };
 
 Scratch& scratch() {
@@ -171,15 +173,9 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output,
   const std::size_t oc = out_channels();
   const std::size_t in_stride = geom_.channels * geom_.height * geom_.width;
 
-  Tensor grad_input;
-  if (input_gradient) grad_input = Tensor(input_.shape());
   const std::size_t chunk =
       std::clamp<std::size_t>(kMaxColsFloats / (pr * pixels), 1, batch);
-  Scratch& buffers = scratch();
-  float* dy = grown(buffers.dy, oc * chunk * pixels);
-  float* grad_cols =
-      input_gradient ? grown(buffers.grad_cols, pr * chunk * pixels)
-                     : nullptr;
+  float* dy = grown(scratch().dy, oc * chunk * pixels);
   const tensor::Conv2dGeom g = geom_;
   float* db = grad_bias_.data();
 
@@ -209,16 +205,29 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output,
         db[c] += acc;
       }
     });
-    if (!input_gradient) continue;
-    // d(cols) = W^T (pr x oc) * dY (oc x wide)
-    tensor::gemm_at(pr, oc, wide, 1.0f, weight_.data(), dy, 0.0f, grad_cols);
-    float* dx = grad_input.data() + base * in_stride;
-    for_each_sample(n, pr * pixels, [=](std::size_t lo, std::size_t hi) {
-      for (std::size_t s = lo; s < hi; ++s)
-        tensor::col2im_strided(g, grad_cols + s * pixels, wide,
-                               dx + s * in_stride);
-    });
   }
+  if (!input_gradient) return Tensor();
+
+  // dX, one sample at a time: d(cols) = W^T (pr x oc) * dY_s (oc x
+  // pixels), read straight from grad_output and added back by col2im
+  // while it is still in cache. A column's product does not depend on
+  // which columns share its GEMM call, so this matches one product over
+  // the whole batch bit for bit. The product runs serially inside the
+  // per-sample body: a loop submitted from a worker would deadlock on the
+  // pool's submission lock.
+  Tensor grad_input(input_.shape());
+  const float* w = weight_.data();
+  const float* dout = grad_output.data();
+  float* dx = grad_input.data();
+  for_each_sample(batch, pr * pixels, [=](std::size_t lo, std::size_t hi) {
+    const util::ThreadPool::LaneWidth serial(1);
+    float* grad_cols = grown(scratch().grad_cols, pr * pixels);
+    for (std::size_t s = lo; s < hi; ++s) {
+      tensor::gemm_at(pr, oc, pixels, 1.0f, w, dout + s * oc * pixels, 0.0f,
+                      grad_cols);
+      tensor::col2im(g, grad_cols, dx + s * in_stride);
+    }
+  });
   return grad_input;
 }
 

@@ -3,9 +3,10 @@
 // images). The forward and the weight gradient never store the im2col
 // patch matrix: the GEMM lowers each cache-sized panel of it straight from
 // the batch (tensor::im2col_block), and the forward scatters each finished
-// output block with its bias. The input gradient still forms d(cols)
-// (W^T * dY) and adds it back with col2im. Results are bit-identical to
-// the materialised im2col + GEMM. The 1D-CNN runs through this layer too:
+// output block with its bias. The input gradient never stores the batch's
+// d(cols) either: each sample's W^T * dY_s is formed from the incoming
+// gradient and added back with col2im while it is still in cache. Results
+// are bit-identical to the materialised im2col + GEMM. The 1D-CNN runs through this layer too:
 // a 1 x k kernel with padding (0, k / 2) over a (C, 1, L) view of the
 // flattened script.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <utility>
 
 namespace prionn::nn {
 
@@ -11,17 +12,24 @@ Shape Flatten::output_shape(const Shape& input) const {
   return {n};
 }
 
-Tensor Flatten::forward(const Tensor& input, bool /*training*/) {
+Tensor Flatten::forward(const Tensor& input, bool training) {
+  return forward(Tensor(input), training);
+}
+
+Tensor Flatten::forward(Tensor&& input, bool /*training*/) {
   input_shape_ = input.shape();
-  Tensor out = input;
-  out.reshape({input.dim(0), input.size() / input.dim(0)});
-  return out;
+  const std::size_t batch = input.dim(0);
+  input.reshape({batch, input.size() / batch});
+  return std::move(input);
 }
 
 Tensor Flatten::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  grad.reshape(input_shape_);
-  return grad;
+  return backward(Tensor(grad_output));
+}
+
+Tensor Flatten::backward(Tensor&& grad_output) {
+  grad_output.reshape(input_shape_);
+  return std::move(grad_output);
 }
 
 void Flatten::save(std::ostream& /*os*/) const {}

@@ -42,6 +42,13 @@ class Layer {
   /// w.r.t. its output. Accumulates into parameter gradients.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Backward pass over a gradient the caller no longer needs: an
+  /// element-wise layer may write its input gradient into `grad_output`'s
+  /// buffer. Network's backward hands every gradient over this way.
+  virtual Tensor backward(Tensor&& grad_output) {
+    return backward(static_cast<const Tensor&>(grad_output));
+  }
+
   /// backward() for a layer whose input gradient nobody reads (the first
   /// layer under Network::train_batch): accumulates the same parameter
   /// gradients and may skip the input gradient.

@@ -70,18 +70,16 @@ Tensor Network::backward(const Tensor& grad_output) {
   return backward_through(grad_output, /*input_gradient=*/true);
 }
 
-Tensor Network::backward_through(const Tensor& grad_output,
-                                 bool input_gradient) {
+Tensor Network::backward_through(Tensor g, bool input_gradient) {
   const std::vector<LayerCounters>* counters =
       obs::layer_timing_enabled() ? &layer_counters() : nullptr;
-  Tensor g = grad_output;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     const std::uint64_t t0 = counters ? util::Timer::now_ns() : 0;
     if (i == 0 && !input_gradient) {
       layers_[0]->backward_parameters(g);
       g = Tensor();
     } else {
-      g = layers_[i]->backward(g);
+      g = layers_[i]->backward(std::move(g));
     }
     if (counters) (*counters)[i].backward->inc(util::Timer::now_ns() - t0);
   }
@@ -125,7 +123,7 @@ double Network::train_batch(const Tensor& inputs,
   zero_gradients();
   const Tensor logits = forward(inputs, /*training=*/true);
   LossResult loss = softmax_cross_entropy(logits, labels);
-  backward_through(loss.grad, /*input_gradient=*/false);
+  backward_through(std::move(loss.grad), /*input_gradient=*/false);
   if (gradient_clip > 0.0) {
     for (Tensor* g : gradients())
       tensor::clip_inplace(g->span(), static_cast<float>(gradient_clip));

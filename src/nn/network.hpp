@@ -124,7 +124,7 @@ class Network {
 
   /// backward(), computing the first layer's input gradient only when
   /// `input_gradient` (train_batch has no use for it).
-  Tensor backward_through(const Tensor& grad_output, bool input_gradient);
+  Tensor backward_through(Tensor grad_output, bool input_gradient);
 
   /// Per-layer timing counters, one forward/backward pair per position,
   /// named by position and kind (prionn_nn_forward_ns_total_00_conv2d).

@@ -1,9 +1,11 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/sample_parallel.hpp"
 #include "util/check.hpp"
@@ -22,39 +24,70 @@ void write_u64(std::ostream& os, std::uint64_t v) {
 }
 
 /// Max-pool input planes [first, last) of h x w by wh x ww windows,
-/// recording each winner's flat input index. Kept out of line: inlined
-/// into the std::function thunk of the per-sample split, GCC's code ran
-/// 2.5x slower.
+/// recording each winner's offset within its window (ky * ww + kx). Kept
+/// out of line: inlined into the std::function thunk of the per-sample
+/// split, GCC's code ran 2.5x slower.
 [[gnu::noinline]] void pool_planes(const float* in, std::size_t first,
                                    std::size_t last, std::size_t h,
                                    std::size_t w, std::size_t wh,
                                    std::size_t ww, float* out,
-                                   std::size_t* winner) noexcept {
+                                   std::uint32_t* winner) noexcept {
   const std::size_t oh = h / wh;
   const std::size_t ow = w / ww;
   std::size_t oi = first * oh * ow;
   for (std::size_t plane_id = first; plane_id < last; ++plane_id) {
-    const std::size_t plane_base = plane_id * h * w;
-    const float* plane = in + plane_base;
+    const float* plane = in + plane_id * h * w;
     for (std::size_t oy = 0; oy < oh; ++oy) {
       for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
         float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
+        std::uint32_t best_offset = 0;
         for (std::size_t ky = 0; ky < wh; ++ky) {
-          const std::size_t iy = oy * wh + ky;
+          const float* row = plane + (oy * wh + ky) * w + ox * ww;
           for (std::size_t kx = 0; kx < ww; ++kx) {
-            const std::size_t ix = ox * ww + kx;
-            const float v = plane[iy * w + ix];
-            if (v > best) {
-              best = v;
-              best_idx = plane_base + iy * w + ix;
+            if (row[kx] > best) {
+              best = row[kx];
+              best_offset = static_cast<std::uint32_t>(ky * ww + kx);
             }
           }
         }
         out[oi] = best;
-        winner[oi] = best_idx;
+        winner[oi] = best_offset;
       }
     }
+  }
+}
+
+/// The adjoint of pool_planes: writes every element of input planes
+/// [first, last) of dx, 0 + dy at each window's winner (so a -0.0
+/// gradient arrives as +0.0, as a scatter into zeros would give it) and 0
+/// elsewhere, including the rows and columns no window covers.
+[[gnu::noinline]] void unpool_planes(const float* dy,
+                                     const std::uint32_t* winner,
+                                     std::size_t first, std::size_t last,
+                                     std::size_t h, std::size_t w,
+                                     std::size_t wh, std::size_t ww,
+                                     float* dx) noexcept {
+  const std::size_t oh = h / wh;
+  const std::size_t ow = w / ww;
+  for (std::size_t plane_id = first; plane_id < last; ++plane_id) {
+    float* plane = dx + plane_id * h * w;
+    const std::size_t plane_out = plane_id * oh * ow;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      const float* dy_row = dy + plane_out + oy * ow;
+      const std::uint32_t* winner_row = winner + plane_out + oy * ow;
+      for (std::size_t ky = 0; ky < wh; ++ky) {
+        float* row = plane + (oy * wh + ky) * w;
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const float g = 0.0f + dy_row[ox];
+          const std::uint32_t first_tap = static_cast<std::uint32_t>(ky * ww);
+          for (std::size_t kx = 0; kx < ww; ++kx)
+            row[ox * ww + kx] =
+                winner_row[ox] == first_tap + kx ? g : 0.0f;
+        }
+        std::fill(row + ow * ww, row + w, 0.0f);
+      }
+    }
+    std::fill(plane + oh * wh * w, plane + h * w, 0.0f);
   }
 }
 }  // namespace
@@ -73,36 +106,47 @@ Shape MaxPool2d::output_shape(const Shape& input) const {
   return {input[0], input[1] / window_h_, input[2] / window_w_};
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool2d::pool(const Tensor& input) {
   input_shape_ = input.shape();
   const std::size_t batch = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = h / window_h_, ow = w / window_w_;
   Tensor out({batch, c, oh, ow});
-  argmax_.resize(out.size());
-  // Samples write disjoint output and argmax slices: split over the pool.
+  winner_.resize(out.size());
+  // Samples write disjoint output and winner slices: split over the pool.
   for_each_sample(batch, c * h * w, [&](std::size_t lo, std::size_t hi) {
     pool_planes(input.data(), lo * c, hi * c, h, w, window_h_, window_w_,
-                out.data(), argmax_.data());
+                out.data(), winner_.data());
   });
   return out;
 }
 
+Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
+  kept_ = Tensor();
+  return pool(input);
+}
+
+Tensor MaxPool2d::forward(Tensor&& input, bool /*training*/) {
+  Tensor out = pool(input);
+  kept_ = std::move(input);
+  return out;
+}
+
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(grad_output.size() == argmax_.size())
+  PRIONN_CHECK(grad_output.size() == winner_.size())
       << "MaxPool2d::backward: gradient has " << grad_output.size()
-      << " elements but forward produced " << argmax_.size();
-  Tensor grad_input(input_shape_);
-  // A sample's winners all lie in its own input slice, and within a sample
-  // the scatter-add keeps its serial order.
-  const std::size_t batch = input_shape_[0];
-  const std::size_t per_sample = batch ? grad_output.size() / batch : 0;
+      << " elements but forward produced " << winner_.size();
+  // Every element is written below, so the kept input needs no clearing.
+  Tensor grad_input = kept_.empty() ? Tensor(input_shape_)
+                                    : std::exchange(kept_, Tensor());
+  const std::size_t batch = input_shape_[0], c = input_shape_[1];
+  const std::size_t h = input_shape_[2], w = input_shape_[3];
   const float* dy = grad_output.data();
-  const std::size_t* winner = argmax_.data();
+  const std::uint32_t* winner = winner_.data();
   float* dx = grad_input.data();
-  for_each_sample(batch, per_sample, [=](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo * per_sample; i < hi * per_sample; ++i)
-      dx[winner[i]] += dy[i];
+  const std::size_t wh = window_h_, ww = window_w_;
+  for_each_sample(batch, c * h * w, [=](std::size_t lo, std::size_t hi) {
+    unpool_planes(dy, winner, lo * c, hi * c, h, w, wh, ww, dx);
   });
   return grad_input;
 }

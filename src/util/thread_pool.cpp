@@ -10,9 +10,12 @@ namespace {
 thread_local std::size_t t_lane_width = 0;  // 0: the whole pool
 }  // namespace
 
-void ThreadPool::set_lane_width(std::size_t width) noexcept {
+ThreadPool::LaneWidth::LaneWidth(std::size_t width) noexcept
+    : previous_(t_lane_width) {
   t_lane_width = width;
 }
+
+ThreadPool::LaneWidth::~LaneWidth() { t_lane_width = previous_; }
 
 std::size_t ThreadPool::lanes() const noexcept {
   return t_lane_width == 0 ? size() : std::min(t_lane_width, size());

@@ -27,13 +27,24 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size() + 1; }
 
-  /// Fix the calling thread's lane width: the most chunks any loop it
-  /// submits is split into. 0 (the default) means size(); 1 runs every
-  /// loop inline on the calling thread, without the submission lock, so
-  /// that thread never queues behind another submitter. Loops whose
-  /// result depends only on fixed tile boundaries (GEMM, per-sample
-  /// layers) give the same bits at every width.
-  static void set_lane_width(std::size_t width) noexcept;
+  /// Sets the calling thread's lane width for one scope: the most chunks
+  /// any loop it submits is split into. 0 (the default) means size(); 1
+  /// runs every loop inline on the calling thread, without the submission
+  /// lock, so that thread never queues behind another submitter and may
+  /// run loops from inside a worker body. Loops whose result depends only
+  /// on fixed tile boundaries (GEMM, per-sample layers) give the same
+  /// bits at every width. The previous width is restored on scope exit,
+  /// also when the scope throws.
+  class LaneWidth {
+   public:
+    explicit LaneWidth(std::size_t width) noexcept;
+    ~LaneWidth();
+    LaneWidth(const LaneWidth&) = delete;
+    LaneWidth& operator=(const LaneWidth&) = delete;
+
+   private:
+    std::size_t previous_;
+  };
 
   /// Chunks a loop submitted from the calling thread splits into at most:
   /// the lane width, capped at size().

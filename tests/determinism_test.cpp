@@ -8,29 +8,26 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/model_zoo.hpp"
+#include "core/predictor.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/loss.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/gemm.hpp"
+#include "trace/workload.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace t = prionn::tensor;
 using prionn::util::ThreadPool;
+using LaneWidth = ThreadPool::LaneWidth;
 
 namespace {
-
-/// Restores the calling thread's default lane width on scope exit.
-struct LaneWidth {
-  explicit LaneWidth(std::size_t width) { ThreadPool::set_lane_width(width); }
-  ~LaneWidth() { ThreadPool::set_lane_width(0); }
-  LaneWidth(const LaneWidth&) = delete;
-  LaneWidth& operator=(const LaneWidth&) = delete;
-};
 
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   prionn::util::Rng rng(seed);
@@ -249,5 +246,120 @@ TEST(ThreadCountIndependence, ImplicitConvBackwardAtEveryLaneWidth) {
       out.insert(out.end(), dx.data(), dx.data() + dx.size());
       return out;
     });
+  }
+}
+
+namespace {
+
+/// A 3-head word2vec 2D-CNN predictor small enough to train in a test.
+prionn::core::PredictorOptions small_predictor_options() {
+  prionn::core::PredictorOptions o;
+  o.image.rows = o.image.cols = 16;
+  o.image.transform = prionn::core::Transform::kWord2Vec;
+  o.runtime_bins = 64;
+  o.io_bins = 16;
+  o.epochs = 2;
+  o.predict_io = true;
+  return o;
+}
+
+std::vector<prionn::trace::JobRecord> small_jobs(std::size_t n) {
+  prionn::trace::WorkloadGenerator gen(
+      prionn::trace::WorkloadOptions::cab(n + n / 8, 2016));
+  return prionn::trace::completed_jobs(gen.generate());
+}
+
+std::vector<std::string> scripts_of(
+    const std::vector<prionn::trace::JobRecord>& jobs) {
+  std::vector<std::string> scripts;
+  for (const auto& job : jobs) scripts.push_back(job.script);
+  return scripts;
+}
+
+std::string predictor_bytes(const prionn::core::PrionnPredictor& p) {
+  std::ostringstream os(std::ios::binary);
+  p.save(os);
+  return std::move(os).str();
+}
+
+}  // namespace
+
+// PrionnPredictor trains and queries its three heads side by side over the
+// calling thread's lanes; the lane width must change where each head runs,
+// never what it computes.
+TEST(ThreadCountIndependence, PredictorHeadsAtEveryLaneWidth) {
+  const auto jobs = small_jobs(48);
+  const auto scripts = scripts_of(jobs);
+  std::string reference_bytes;
+  std::vector<prionn::core::ConfidentPrediction> reference;
+  for (std::size_t width = 1; width <= 4; ++width) {
+    SCOPED_TRACE("lane width " + std::to_string(width));
+    const LaneWidth lanes(width);
+    prionn::core::PrionnPredictor p(small_predictor_options());
+    p.fit_embedding(scripts);
+    p.train(jobs);
+    const std::string bytes = predictor_bytes(p);
+    const auto got = p.predict_batch(scripts);
+    if (width == 1) {
+      reference_bytes = bytes;
+      reference = got;
+      continue;
+    }
+    EXPECT_TRUE(bytes == reference_bytes) << "save() bytes differ";
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].value.runtime_minutes,
+                reference[i].value.runtime_minutes);
+      EXPECT_EQ(got[i].value.bytes_read, reference[i].value.bytes_read);
+      EXPECT_EQ(got[i].value.bytes_written,
+                reference[i].value.bytes_written);
+      EXPECT_EQ(got[i].runtime_confidence, reference[i].runtime_confidence);
+      EXPECT_EQ(got[i].read_confidence, reference[i].read_confidence);
+      EXPECT_EQ(got[i].write_confidence, reference[i].write_confidence);
+    }
+  }
+}
+
+// When several heads diverge at once, train() rethrows the runtime head's
+// TrainingDiverged whichever head finishes first, and leaves the caller's
+// lane width as it found it.
+TEST(ThreadCountIndependence, DivergingHeadsRethrowTheRuntimeHeads) {
+  const auto jobs = small_jobs(32);
+  const auto scripts = scripts_of(jobs);
+  auto options = small_predictor_options();
+  // Every head's first step trips this, each with its own gradient norm
+  // in the message.
+  options.max_gradient_norm = 1e-12;
+
+  // The runtime head alone: the message names its own gradient norm.
+  auto runtime_only = options;
+  runtime_only.predict_io = false;
+  std::string runtime_message;
+  {
+    prionn::core::PrionnPredictor p(runtime_only);
+    p.fit_embedding(scripts);
+    try {
+      p.train(jobs);
+    } catch (const prionn::nn::TrainingDiverged& e) {
+      runtime_message = e.what();
+    }
+  }
+  ASSERT_FALSE(runtime_message.empty());
+
+  for (std::size_t width = 1; width <= 4; ++width) {
+    SCOPED_TRACE("lane width " + std::to_string(width));
+    const LaneWidth lanes(width);
+    const std::size_t expected_lanes = ThreadPool::global().lanes();
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      prionn::core::PrionnPredictor p(options);
+      p.fit_embedding(scripts);
+      try {
+        p.train(jobs);
+        ADD_FAILURE() << "train() did not throw";
+      } catch (const prionn::nn::TrainingDiverged& e) {
+        EXPECT_EQ(std::string(e.what()), runtime_message);
+      }
+      EXPECT_EQ(ThreadPool::global().lanes(), expected_lanes);
+    }
   }
 }

@@ -7,8 +7,12 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/model_zoo.hpp"
 #include "nn/activations.hpp"
@@ -22,6 +26,8 @@
 #include "nn/pool.hpp"
 #include "nn/serialize.hpp"
 #include "obs/obs.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
 namespace nn = prionn::nn;
@@ -35,6 +41,11 @@ Tensor random_tensor(prionn::tensor::Shape shape, std::uint64_t seed) {
   for (std::size_t i = 0; i < t.size(); ++i)
     t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 /// Scalar objective: sum of squares of the layer output / 2 — its gradient
@@ -154,6 +165,187 @@ TEST(MaxPool, TiesRouteGradientToFirstMaximum) {
 TEST(GradCheck, FlattenLayer) {
   nn::Flatten layer;
   check_gradients(layer, random_tensor({3, 2, 4}, 14), 1e-2);
+}
+
+// ----------------------------------------------------------- move paths ---
+// Network hands every activation and gradient to the next layer as an
+// rvalue, and Relu, MaxPool2d and Flatten then work in the buffer they are
+// handed. Those paths must give the same bits as the const& ones.
+
+namespace {
+
+/// Random values with NaN, both zeros, negatives and repeated values
+/// (ties) sprinkled in.
+Tensor awkward_tensor(prionn::tensor::Shape shape, std::uint64_t seed) {
+  Tensor t = random_tensor(std::move(shape), seed);
+  const float specials[] = {std::nanf(""), 0.0f, -0.0f, -1.0f, 0.5f, 0.5f};
+  for (std::size_t i = 0; i < t.size(); i += 3)
+    t[i] = specials[(i / 3) % std::size(specials)];
+  return t;
+}
+
+/// Runs forward then backward through a fresh layer from `make`, once with
+/// const& arguments and once with rvalues, and expects the same bits.
+template <typename Make>
+void expect_move_paths_match(const Make& make, const Tensor& x,
+                             std::uint64_t grad_seed) {
+  auto by_ref = make();
+  auto by_move = make();
+  nn::Layer& ref = *by_ref;
+  nn::Layer& mov = *by_move;
+  const Tensor y_ref = ref.forward(x, /*training=*/true);
+  const Tensor y_mov = mov.forward(Tensor(x), /*training=*/true);
+  EXPECT_TRUE(same_bits(y_ref, y_mov)) << ref.kind() << " forward";
+  const Tensor dy = awkward_tensor(y_ref.shape(), grad_seed);
+  const Tensor dx_ref = ref.backward(dy);
+  const Tensor dx_mov = mov.backward(Tensor(dy));
+  EXPECT_TRUE(same_bits(dx_ref, dx_mov)) << ref.kind() << " backward";
+}
+
+}  // namespace
+
+TEST(MovePaths, ReluRvalueMatchesConstRef) {
+  const auto make = [] { return std::make_unique<nn::Relu>(); };
+  expect_move_paths_match(make, awkward_tensor({3, 2, 5, 7}, 31), 32);
+}
+
+TEST(MovePaths, MaxPoolRvalueMatchesConstRef) {
+  for (const auto& window : {std::pair<std::size_t, std::size_t>{2, 2},
+                             {1, 4},
+                             {3, 2}}) {
+    SCOPED_TRACE(std::to_string(window.first) + "x" +
+                 std::to_string(window.second));
+    const auto make = [&] {
+      return std::make_unique<nn::MaxPool2d>(window.first, window.second);
+    };
+    expect_move_paths_match(make, awkward_tensor({3, 2, 5, 7}, 33), 34);
+  }
+}
+
+TEST(MovePaths, FlattenRvalueMatchesConstRef) {
+  const auto make = [] { return std::make_unique<nn::Flatten>(); };
+  expect_move_paths_match(make, awkward_tensor({3, 2, 5, 7}, 35), 36);
+}
+
+// A 5 x 7 plane pooled 2 x 2 leaves row 4 and column 6 outside every
+// window. The rvalue path writes the gradient into the input's own buffer,
+// so those must be overwritten with zeros, not left holding the input.
+TEST(MaxPool, UncoveredRowsAndColumnsGetZeroGradient) {
+  nn::MaxPool2d layer(2, 2);
+  Tensor x({1, 1, 5, 7});
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = 1.0f + static_cast<float>((i * 7) % 11);
+  const Tensor y = layer.forward(Tensor(x), /*training=*/true);
+  ASSERT_EQ(y.shape(), (prionn::tensor::Shape{1, 1, 2, 3}));
+  const Tensor dx = layer.backward(Tensor({1, 1, 2, 3}, 1.0f));
+  std::size_t winners = 0;
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 7; ++c) {
+      const float g = dx.at(0, 0, r, c);
+      if (r == 4 || c == 6)
+        EXPECT_EQ(g, 0.0f) << "uncovered (" << r << ", " << c << ")";
+      else
+        EXPECT_TRUE(g == 0.0f || (g == 1.0f && x.at(0, 0, r, c) ==
+                                                   y.at(0, 0, r / 2, c / 2)))
+            << "(" << r << ", " << c << ")";
+      winners += g == 1.0f;
+    }
+  }
+  EXPECT_EQ(winners, 6u);
+}
+
+// The old backward scattered dy into a zeroed buffer, so a -0.0 gradient
+// arrived at its winner as 0.0 + -0.0 = +0.0; the in-buffer write keeps
+// that.
+TEST(MaxPool, NegativeZeroGradientArrivesAsPositiveZero) {
+  for (const bool rvalue : {false, true}) {
+    SCOPED_TRACE(rvalue ? "rvalue" : "const&");
+    nn::MaxPool2d layer(1, 2);
+    const Tensor x({1, 1, 1, 4}, std::vector<float>{3, 1, -2, 5});
+    if (rvalue)
+      layer.forward(Tensor(x), /*training=*/true);
+    else
+      layer.forward(x, /*training=*/true);
+    const Tensor dx =
+        layer.backward(Tensor({1, 1, 1, 2}, std::vector<float>{-0.0f, 2}));
+    const std::vector<float> expected = {0, 0, 0, 2};
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(dx[i], expected[i]) << "input " << i;
+      EXPECT_FALSE(std::signbit(dx[i])) << "input " << i;
+    }
+  }
+}
+
+// A window with no value above -inf (all -inf or NaN) has no maximum; its
+// winner is the window's first element. It used to be element 0 of the
+// whole batch, so the gradient of sample 1 landed in sample 0.
+TEST(MaxPool, WindowWithoutMaximumKeepsGradientInItsSample) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::nanf("");
+  for (const bool rvalue : {false, true}) {
+    SCOPED_TRACE(rvalue ? "rvalue" : "const&");
+    nn::MaxPool2d layer(1, 2);
+    const Tensor x({2, 1, 1, 2}, std::vector<float>{1, 2, -inf, nan});
+    const Tensor y = rvalue ? layer.forward(Tensor(x), /*training=*/true)
+                            : layer.forward(x, /*training=*/true);
+    EXPECT_EQ(y[1], -inf);
+    const Tensor dx =
+        layer.backward(Tensor({2, 1, 1, 1}, std::vector<float>{1, 1}));
+    const std::vector<float> expected = {0, 1, 1, 0};
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      EXPECT_EQ(dx[i], expected[i]) << "input " << i;
+  }
+}
+
+// Conv2d forms its input gradient one sample at a time, W^T * dY_s added
+// back by col2im. It must match one W^T * dY product over the whole batch,
+// materialised and then added back, bit for bit. Neither geometry has a
+// pixel count that is a multiple of the GEMM's 32-column tile; the second
+// is big enough that each sample's product would split over the pool if
+// it were not run serially inside the per-sample loop.
+TEST(Conv2dBackward, PerSampleInputGradientMatchesMaterialisedGemm) {
+  struct Geometry {
+    std::size_t in_c, out_c, height, width, kernel, stride, pad, batch;
+  };
+  for (const Geometry& l : {Geometry{5, 6, 7, 9, 3, 1, 1, 3},
+                            Geometry{16, 32, 31, 33, 3, 1, 1, 4},
+                            Geometry{3, 4, 11, 13, 3, 2, 0, 2}}) {
+    SCOPED_TRACE(std::to_string(l.height) + "x" + std::to_string(l.width));
+    prionn::util::Rng rng(41);
+    nn::Conv2d conv(l.in_c, l.out_c, l.kernel, l.kernel, l.stride, l.pad,
+                    l.pad, rng);
+    const Tensor x = random_tensor({l.batch, l.in_c, l.height, l.width}, 42);
+    const Tensor y = conv.forward(x, /*training=*/true);
+    const Tensor dy = random_tensor(y.shape(), 43);
+    const Tensor dx = conv.backward(dy);
+
+    prionn::tensor::Conv2dGeom g;
+    g.channels = l.in_c;
+    g.height = l.height;
+    g.width = l.width;
+    g.kernel_h = g.kernel_w = l.kernel;
+    g.stride_h = g.stride_w = l.stride;
+    g.pad_h = g.pad_w = l.pad;
+    const std::size_t pr = g.patch_rows(), pixels = g.patch_cols();
+    const std::size_t oc = l.out_c, wide = l.batch * pixels;
+    ASSERT_NE(pixels % 32, 0u);
+    // dY gathered from (batch, oc, pixels) into (oc x batch * pixels).
+    std::vector<float> dy_wide(oc * wide);
+    for (std::size_t s = 0; s < l.batch; ++s)
+      for (std::size_t c = 0; c < oc; ++c)
+        std::memcpy(dy_wide.data() + c * wide + s * pixels,
+                    dy.data() + (s * oc + c) * pixels,
+                    pixels * sizeof(float));
+    std::vector<float> grad_cols(pr * wide);
+    prionn::tensor::gemm_at(pr, oc, wide, 1.0f, conv.parameters()[0]->data(),
+                            dy_wide.data(), 0.0f, grad_cols.data());
+    Tensor expected(x.shape());
+    const std::size_t in_stride = l.in_c * l.height * l.width;
+    for (std::size_t s = 0; s < l.batch; ++s)
+      prionn::tensor::col2im_strided(g, grad_cols.data() + s * pixels, wide,
+                                     expected.data() + s * in_stride);
+    EXPECT_TRUE(same_bits(dx, expected));
+  }
 }
 
 // --------------------------------------------------------------- shapes ---
@@ -578,11 +770,6 @@ nn::Network make_first_layer_net(bool dense_first, std::uint64_t seed) {
   net.emplace<nn::Dropout>(0.2, seed + 1);
   net.emplace<nn::Dense>(24, 5, rng);
   return net;
-}
-
-bool same_bits(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 }  // namespace
