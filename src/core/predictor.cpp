@@ -16,46 +16,42 @@
 
 namespace prionn::core {
 
-namespace {
-
-/// Runs head(0) .. head(heads - 1) side by side over the calling thread's
-/// lanes, each at lane width 1: the heads are independent networks, and
-/// every layer gives the same bits at any width, so this moves work but
-/// changes no arithmetic. At one lane (the serving batcher) the same loop
-/// runs them in series, inline. Every head runs to the end; then the
-/// exception of the lowest-indexed head that threw is rethrown, so which
-/// error the caller sees never depends on timing.
 void for_each_head(std::size_t heads,
                    const std::function<void(std::size_t)>& head) {
   std::vector<std::exception_ptr> errors(heads);
-  util::ThreadPool::global().parallel_for(0, heads, [&](std::size_t i) {
-    const util::ThreadPool::LaneWidth serial(1);
+  const auto run = [&](std::size_t i) {
     try {
       head(i);
     } catch (...) {
       errors[i] = std::current_exception();
     }
-  });
+  };
+  auto& pool = util::ThreadPool::global();
+  if (heads > 1 && pool.lanes() > 1) {
+    pool.parallel_for(0, heads, [&](std::size_t i) {
+      const util::ThreadPool::LaneWidth serial(1);
+      run(i);
+    });
+  } else {
+    for (std::size_t i = 0; i < heads; ++i) run(i);
+  }
   for (const auto& error : errors)
     if (error) std::rethrow_exception(error);
 }
-
-}  // namespace
 
 PrionnPredictor::PrionnPredictor(PredictorOptions options)
     : options_(options),
       runtime_bins_(options.runtime_bins),
       io_bins_(options.io_bins),
-      runtime_opt_(options.learning_rate),
-      read_opt_(options.learning_rate),
-      write_opt_(options.learning_rate) {
+      heads_{Head{{}, nn::Adam(options.learning_rate)},
+             Head{{}, nn::Adam(options.learning_rate)},
+             Head{{}, nn::Adam(options.learning_rate)}} {
   ModelConfig cfg;
   cfg.kind = options_.model;
   cfg.preset = options_.preset;
   cfg.rows = options_.image.rows;
   cfg.cols = options_.image.cols;
   cfg.dropout = options_.dropout;
-  cfg.seed = options_.seed;
   switch (options_.image.transform) {
     case Transform::kBinary:
     case Transform::kSimple: cfg.channels = 1; break;
@@ -64,14 +60,10 @@ PrionnPredictor::PrionnPredictor(PredictorOptions options)
       cfg.channels = options_.word2vec_dimension;
       break;
   }
-  cfg.classes = options_.runtime_bins;
-  runtime_net_ = build_model(cfg);
-  if (options_.predict_io) {
-    cfg.classes = options_.io_bins;
-    cfg.seed = options_.seed + 1;
-    read_net_ = build_model(cfg);
-    cfg.seed = options_.seed + 2;
-    write_net_ = build_model(cfg);
+  for (std::size_t h = 0; h < head_count(); ++h) {
+    cfg.classes = h == 0 ? options_.runtime_bins : options_.io_bins;
+    cfg.seed = options_.seed + h;
+    heads_[h].net = build_model(cfg);
   }
   if (options_.image.transform != Transform::kWord2Vec) ensure_mapper();
 }
@@ -137,13 +129,13 @@ PrionnPredictor::TrainReport PrionnPredictor::train(
         "PrionnPredictor::train: call fit_embedding() first");
 
   std::vector<std::string> scripts;
-  std::vector<std::uint32_t> runtime_labels, read_labels, write_labels;
+  std::vector<std::uint32_t> labels[3];  // per head
   scripts.reserve(completed_jobs.size());
   for (const auto& job : completed_jobs) {
     scripts.push_back(job.script);
-    runtime_labels.push_back(runtime_bins_.label_of(job.runtime_minutes));
-    read_labels.push_back(io_bins_.label_of(job.bytes_read));
-    write_labels.push_back(io_bins_.label_of(job.bytes_written));
+    labels[0].push_back(runtime_bins_.label_of(job.runtime_minutes));
+    labels[1].push_back(io_bins_.label_of(job.bytes_read));
+    labels[2].push_back(io_bins_.label_of(job.bytes_written));
   }
   tensor::Tensor batch = map_batch(scripts);
   // Fault-injection point: a corrupted ingestion path or DMA error shows
@@ -158,24 +150,14 @@ PrionnPredictor::TrainReport PrionnPredictor::train(
   fit.batch_size = options_.batch_size;
   fit.shuffle_seed = options_.seed + training_events_;
   fit.max_gradient_norm = options_.max_gradient_norm;
-  struct Head {
-    nn::Network& net;
-    nn::Adam& opt;
-    const std::vector<std::uint32_t>& labels;
-    double& loss;
-  };
-  TrainReport report;
-  const Head heads[] = {
-      {runtime_net_, runtime_opt_, runtime_labels, report.runtime_loss},
-      {read_net_, read_opt_, read_labels, report.read_loss},
-      {write_net_, write_opt_, write_labels, report.write_loss}};
-  for_each_head(options_.predict_io ? 3 : 1, [&](std::size_t i) {
-    const Head& h = heads[i];
-    h.loss = h.net.fit(batch, h.labels, h.opt, fit).final_loss();
+  double loss[3] = {0.0, 0.0, 0.0};
+  for_each_head(head_count(), [&](std::size_t h) {
+    loss[h] = heads_[h].net.fit(batch, labels[h], heads_[h].opt, fit)
+                  .final_loss();
   });
   trained_ = true;
   ++training_events_;
-  return report;
+  return {loss[0], loss[1], loss[2]};
 }
 
 std::vector<ConfidentPrediction> PrionnPredictor::predict_batch(
@@ -194,10 +176,9 @@ std::vector<ConfidentPrediction> PrionnPredictor::predict_batch_mapped(
   PRIONN_OBS_SPAN("predict.forward");
   const std::size_t n = batch.dim(0);
 
-  nn::Network* const nets[] = {&runtime_net_, &read_net_, &write_net_};
   std::vector<nn::Network::Top1> top[3];
-  for_each_head(options_.predict_io ? 3 : 1, [&](std::size_t i) {
-    top[i] = nets[i]->predict_top1(batch);
+  for_each_head(head_count(), [&](std::size_t h) {
+    top[h] = heads_[h].net.predict_top1(batch);
   });
   const auto& runtime_top = top[0];
   const auto& read_top = top[1];
@@ -312,18 +293,11 @@ void PrionnPredictor::save(std::ostream& os) const {
       options_.image.transform == Transform::kWord2Vec && !embedding_.empty();
   write_u64(os, has_embedding ? 1 : 0);
   if (has_embedding) embedding_.save(os);
-  runtime_net_.save(os);
-  if (options_.predict_io) {
-    read_net_.save(os);
-    write_net_.save(os);
-  }
+  for (std::size_t h = 0; h < head_count(); ++h) heads_[h].net.save(os);
   // Optimiser moments, keyed by Network::parameters() order, so the
   // warm-start training trajectory survives a restart bit-exactly.
-  runtime_opt_.save(os, runtime_net_.parameters());
-  if (options_.predict_io) {
-    read_opt_.save(os, read_net_.parameters());
-    write_opt_.save(os, write_net_.parameters());
-  }
+  for (std::size_t h = 0; h < head_count(); ++h)
+    heads_[h].opt.save(os, heads_[h].net.parameters());
 }
 
 PrionnPredictor PrionnPredictor::load(std::istream& is) {
@@ -357,16 +331,10 @@ PrionnPredictor PrionnPredictor::load(std::istream& is) {
     p.mapper_.reset();
     p.ensure_mapper();
   }
-  p.runtime_net_ = nn::Network::load(is);
-  if (opts.predict_io) {
-    p.read_net_ = nn::Network::load(is);
-    p.write_net_ = nn::Network::load(is);
-  }
-  p.runtime_opt_.load(is, p.runtime_net_.parameters());
-  if (opts.predict_io) {
-    p.read_opt_.load(is, p.read_net_.parameters());
-    p.write_opt_.load(is, p.write_net_.parameters());
-  }
+  for (std::size_t h = 0; h < p.head_count(); ++h)
+    p.heads_[h].net = nn::Network::load(is);
+  for (std::size_t h = 0; h < p.head_count(); ++h)
+    p.heads_[h].opt.load(is, p.heads_[h].net.parameters());
   return p;
 }
 

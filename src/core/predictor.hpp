@@ -5,7 +5,9 @@
 // section 3.2 of the paper.
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -76,6 +78,18 @@ struct ConfidentPrediction {
   double read_confidence = 0.0;
   double write_confidence = 0.0;
 };
+
+/// Runs head(0) .. head(heads - 1), the predictor's independent
+/// classifier heads. When more than one head and more than one of the
+/// calling thread's lanes are available, the heads run side by side over
+/// those lanes, each at lane width 1; otherwise they run in series on the
+/// calling thread at its own lane width, so a lone head keeps every lane
+/// for its layers. Every layer gives the same bits at any width, so this
+/// moves work but changes no arithmetic. Every head runs to the end; then
+/// the exception of the lowest-indexed head that threw is rethrown, so
+/// which error the caller sees never depends on timing.
+void for_each_head(std::size_t heads,
+                   const std::function<void(std::size_t)>& head);
 
 class PrionnPredictor {
  public:
@@ -157,12 +171,16 @@ class PrionnPredictor {
   std::optional<ScriptImageMapper> mapper_;
   embed::CharEmbedding embedding_;
 
-  nn::Network runtime_net_;
-  nn::Network read_net_;
-  nn::Network write_net_;
-  nn::Adam runtime_opt_;
-  nn::Adam read_opt_;
-  nn::Adam write_opt_;
+  /// One classifier head: its network and its optimiser state.
+  struct Head {
+    nn::Network net;
+    nn::Adam opt;
+  };
+  /// Heads in use: runtime alone, or runtime, bytes read, bytes written.
+  std::size_t head_count() const noexcept {
+    return options_.predict_io ? 3 : 1;
+  }
+  std::array<Head, 3> heads_;  // runtime, read, write
   bool trained_ = false;
   std::size_t training_events_ = 0;
 };

@@ -383,9 +383,12 @@ void PredictionService::fulfill(Request& request,
 }
 
 void PredictionService::trainer_loop() {
-  // Leave one core of the pool for the batcher's inline inference.
-  const util::ThreadPool::LaneWidth trainer_lanes(
-      std::max<std::size_t>(1, util::ThreadPool::global().size() - 1));
+  // Leave one core of the pool for the batcher's inline inference and
+  // one for the threads that submit requests and take their answers: the
+  // heads keep every lane they get busy for the whole retrain, so any
+  // core they share with serving shows up in submit latency.
+  const std::size_t pool = util::ThreadPool::global().size();
+  const util::ThreadPool::LaneWidth trainer_lanes(pool > 2 ? pool - 2 : 1);
   for (;;) {
     {
       util::ScopedLock wl(window_mutex_);

@@ -320,6 +320,32 @@ TEST(ThreadCountIndependence, PredictorHeadsAtEveryLaneWidth) {
   }
 }
 
+// Heads narrow to one lane each only when they really run side by side: a
+// lone head (predict_io = false), or any head under a one-lane caller,
+// keeps the caller's lanes for its own GEMMs and per-sample loops.
+TEST(ThreadCountIndependence, LoneHeadKeepsTheCallersLanes) {
+  for (std::size_t width = 1; width <= ThreadPool::global().size();
+       ++width) {
+    SCOPED_TRACE("lane width " + std::to_string(width));
+    const LaneWidth lanes(width);
+    const std::size_t caller_lanes = ThreadPool::global().lanes();
+
+    std::size_t lone_lanes = 0;
+    prionn::core::for_each_head(
+        1, [&](std::size_t) { lone_lanes = ThreadPool::global().lanes(); });
+    EXPECT_EQ(lone_lanes, caller_lanes);
+
+    std::vector<std::size_t> head_lanes(3, 0);
+    prionn::core::for_each_head(3, [&](std::size_t h) {
+      head_lanes[h] = ThreadPool::global().lanes();
+    });
+    for (std::size_t h = 0; h < 3; ++h)
+      EXPECT_EQ(head_lanes[h], caller_lanes > 1 ? 1u : caller_lanes)
+          << "head " << h;
+    EXPECT_EQ(ThreadPool::global().lanes(), caller_lanes);
+  }
+}
+
 // When several heads diverge at once, train() rethrows the runtime head's
 // TrainingDiverged whichever head finishes first, and leaves the caller's
 // lane width as it found it.

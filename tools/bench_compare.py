@@ -13,15 +13,20 @@ For each end-to-end metric declared in BENCHMARK.json, prints the median
 and interquartile range of either side, the change/parent ratio of the
 medians, how many pairs the change won, and a verdict:
 
-  worse   the change's median is worse than the parent's by more than the
-          metric's bound (relative);
-  gain    the change won at least 9 of 10 pairs and its median beats the
-          parent's by more than the parent's interquartile range;
-  same    anything else.
+  worse       the change's median is worse than the parent's by more than
+              the metric's bound (relative);
+  unresolved  the parent's interquartile range is wider than the bound
+              (relative to its median), so the runs cannot tell a
+              regression from noise, and not every change run beats
+              every parent run;
+  gain        the change won at least 9 of 10 pairs and its median beats
+              the parent's by more than the parent's interquartile range;
+  same        anything else.
 
-It also prints the share of failed operations on either side. Exits 1
-when any metric is "worse" or the change fails a larger share of
-operations, else 0.
+It also prints the share of failed operations on either side, and warns
+when fewer than 10 pairs were run or the two sides ran a different number
+of times. Exits 1 when any metric is "worse" or "unresolved" or the
+change fails a larger share of operations, else 0.
 """
 import argparse
 import json
@@ -82,10 +87,14 @@ def compare(parent, change, metrics):
         pairs = list(zip(p, c))
         wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in pairs)
         ratio = cm / pm if pm else float("inf")
-        worse_by = (cm - pm) / pm if lower else (pm - cm) / pm
-        better_by = -(cm - pm) if lower else cm - pm
-        if pm and worse_by > metric["bound"]:
+        better_by = pm - cm if lower else cm - pm
+        worse_by = -better_by / abs(pm) if pm else 0.0
+        spread = (pq3 - pq1) / abs(pm) if pm else 0.0
+        all_better = (max(c) < min(p)) if lower else (min(c) > max(p))
+        if worse_by > metric["bound"]:
             verdict = "worse"
+        elif spread > metric["bound"] and not all_better:
+            verdict = "unresolved"
         elif pairs and wins >= 0.9 * len(pairs) and better_by > pq3 - pq1:
             verdict = "gain"
         else:
@@ -114,6 +123,12 @@ def main():
         return 2
 
     print(f"runs: parent {len(parent)}, change {len(change)}")
+    if len(parent) != len(change):
+        print("warning: the two sides ran a different number of times; "
+              "pairs are cut to the shorter side", file=sys.stderr)
+    if min(len(parent), len(change)) < 10:
+        print("warning: fewer than 10 pairs; a gain needs at least 10",
+              file=sys.stderr)
     print(f"{'metric':<18} {'parent median [q1-q3]':>30} "
           f"{'change median [q1-q3]':>30} {'ratio':>7} {'wins':>6} "
           f"{'bound':>6}  verdict")
@@ -123,7 +138,7 @@ def main():
         fmt = lambda m: f"{m[0]:.4g} [{m[1]:.4g}-{m[2]:.4g}] {unit}"
         print(f"{name:<18} {fmt(p):>30} {fmt(c):>30} {ratio:>7.3f} "
               f"{wins:>3}/{pairs:<2} {bound:>6.2f}  {verdict}")
-        bad |= verdict == "worse"
+        bad |= verdict in ("worse", "unresolved")
     pf, cf = failure_share(parent), failure_share(change)
     print(f"failed operations: parent {pf:.4%}, change {cf:.4%}")
     bad |= cf > pf
