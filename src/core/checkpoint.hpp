@@ -35,8 +35,10 @@ class CheckpointError : public std::runtime_error {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x5052434B;  // "PRCK"
 /// Version 2: conv2d records carry per-axis padding (stride, pad_h, pad_w)
-/// and maxpool2d records a per-axis window.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// and maxpool2d records a per-axis window. Version 3: the predictor and
+/// network streams inside the payload carry their own version after
+/// their magic.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Cursor of the online replay loop at checkpoint time. Taken right after
 /// a training event: `next_index` is the submission whose prediction has

@@ -1,43 +1,18 @@
 #include "core/predictor.hpp"
 
+#include "nn/lockstep.hpp"
 #include "obs/obs.hpp"
 #include "tensor/ops.hpp"
 #include "util/fault.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 namespace prionn::core {
-
-void for_each_head(std::size_t heads,
-                   const std::function<void(std::size_t)>& head) {
-  std::vector<std::exception_ptr> errors(heads);
-  const auto run = [&](std::size_t i) {
-    try {
-      head(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-  auto& pool = util::ThreadPool::global();
-  if (heads > 1 && pool.lanes() > 1) {
-    pool.parallel_for(0, heads, [&](std::size_t i) {
-      const util::ThreadPool::LaneWidth serial(1);
-      run(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < heads; ++i) run(i);
-  }
-  for (const auto& error : errors)
-    if (error) std::rethrow_exception(error);
-}
 
 PrionnPredictor::PrionnPredictor(PredictorOptions options)
     : options_(options),
@@ -150,11 +125,14 @@ PrionnPredictor::TrainReport PrionnPredictor::train(
   fit.batch_size = options_.batch_size;
   fit.shuffle_seed = options_.seed + training_events_;
   fit.max_gradient_norm = options_.max_gradient_norm;
+  std::array<nn::FitHead, 3> fit_heads;
+  for (std::size_t h = 0; h < head_count(); ++h)
+    fit_heads[h] = {&heads_[h].net, &heads_[h].opt, labels[h]};
+  const std::vector<nn::FitReport> reports = nn::fit_lockstep(
+      std::span(fit_heads.data(), head_count()), batch, fit);
   double loss[3] = {0.0, 0.0, 0.0};
-  for_each_head(head_count(), [&](std::size_t h) {
-    loss[h] = heads_[h].net.fit(batch, labels[h], heads_[h].opt, fit)
-                  .final_loss();
-  });
+  for (std::size_t h = 0; h < head_count(); ++h)
+    loss[h] = reports[h].final_loss();
   trained_ = true;
   ++training_events_;
   return {loss[0], loss[1], loss[2]};
@@ -176,10 +154,13 @@ std::vector<ConfidentPrediction> PrionnPredictor::predict_batch_mapped(
   PRIONN_OBS_SPAN("predict.forward");
   const std::size_t n = batch.dim(0);
 
+  std::array<nn::Network*, 3> nets;
+  for (std::size_t h = 0; h < head_count(); ++h) nets[h] = &heads_[h].net;
+  const std::vector<tensor::Tensor> logits = nn::forward_lockstep(
+      std::span(nets.data(), head_count()), batch, /*training=*/false);
   std::vector<nn::Network::Top1> top[3];
-  for_each_head(head_count(), [&](std::size_t h) {
-    top[h] = heads_[h].net.predict_top1(batch);
-  });
+  for (std::size_t h = 0; h < head_count(); ++h)
+    top[h] = nn::Network::top1(logits[h]);
   const auto& runtime_top = top[0];
   const auto& read_top = top[1];
   const auto& write_top = top[2];
@@ -215,6 +196,10 @@ ConfidentPrediction PrionnPredictor::predict_with_confidence(
 namespace {
 
 constexpr std::uint32_t kPredictorMagic = 0x50524f4e;  // "PRON"
+/// Stream version, written right after the magic. Version 1 is the
+/// unversioned stream before it, whose first options field (image rows)
+/// this loader reads as a version and rejects.
+constexpr std::uint32_t kPredictorVersion = 2;
 
 void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -272,6 +257,8 @@ void validate_loaded_options(const PredictorOptions& o) {
 void PrionnPredictor::save(std::ostream& os) const {
   os.write(reinterpret_cast<const char*>(&kPredictorMagic),
            sizeof(kPredictorMagic));
+  os.write(reinterpret_cast<const char*>(&kPredictorVersion),
+           sizeof(kPredictorVersion));
   write_u64(os, static_cast<std::uint64_t>(options_.image.rows));
   write_u64(os, static_cast<std::uint64_t>(options_.image.cols));
   write_u64(os, static_cast<std::uint64_t>(options_.image.transform));
@@ -305,6 +292,14 @@ PrionnPredictor PrionnPredictor::load(std::istream& is) {
   is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (!is || magic != kPredictorMagic)
     throw std::runtime_error("PrionnPredictor::load: bad magic");
+  std::uint32_t version = 0;
+  is.read(reinterpret_cast<char*>(&version), sizeof(version));
+  if (!is) throw std::runtime_error("PrionnPredictor::load: truncated");
+  if (version != kPredictorVersion)
+    throw std::runtime_error(
+        "PrionnPredictor::load: unsupported stream version " +
+        std::to_string(version) + " (reads " +
+        std::to_string(kPredictorVersion) + ")");
   PredictorOptions opts;
   opts.image.rows = static_cast<std::size_t>(read_u64(is));
   opts.image.cols = static_cast<std::size_t>(read_u64(is));

@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cmath>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -78,18 +77,6 @@ struct ConfidentPrediction {
   double read_confidence = 0.0;
   double write_confidence = 0.0;
 };
-
-/// Runs head(0) .. head(heads - 1), the predictor's independent
-/// classifier heads. When more than one head and more than one of the
-/// calling thread's lanes are available, the heads run side by side over
-/// those lanes, each at lane width 1; otherwise they run in series on the
-/// calling thread at its own lane width, so a lone head keeps every lane
-/// for its layers. Every layer gives the same bits at any width, so this
-/// moves work but changes no arithmetic. Every head runs to the end; then
-/// the exception of the lowest-indexed head that threw is rethrown, so
-/// which error the caller sees never depends on timing.
-void for_each_head(std::size_t heads,
-                   const std::function<void(std::size_t)>& head);
 
 class PrionnPredictor {
  public:

@@ -9,9 +9,22 @@
 // are bit-identical to the materialised im2col + GEMM. The 1D-CNN runs through this layer too:
 // a 1 x k kernel with padding (0, k / 2) over a (C, 1, L) view of the
 // flattened script.
+//
+// The forward and the weight gradient are written for a stack of
+// convolutions of one geometry over one batch (forward_stacked,
+// backward_parameters_stacked): the PRIONN heads' layer 0 lowers the
+// shared script images once for all of them, with the heads' weights (and
+// output gradients) stacked on the GEMM's M axis. Each conv's block of rows
+// starts on a tensor::kMR multiple: every block but the last is padded
+// with zero rows, whose results are discarded, so each conv's rows keep
+// their place in the micro-tiles and get the bits of a product of their
+// own (tensor/gemm.hpp). A lone Conv2d's forward and weight gradient are
+// the one-conv case of the same calls.
 #pragma once
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "nn/layer.hpp"
 #include "tensor/im2col.hpp"
@@ -44,6 +57,24 @@ class Conv2d : public Layer {
   std::size_t in_channels() const noexcept { return weight_.dim(1); }
   std::size_t out_channels() const noexcept { return weight_.dim(0); }
 
+  /// True when `other` has this conv's input channels, kernel, stride and
+  /// padding, so the two can share one stacked product.
+  bool stacks_with(const Conv2d& other) const noexcept;
+
+  /// Every conv of `convs` (which must stack with each other) over the
+  /// same batch, as one implicit GEMM with M = the convs' output channels
+  /// plus padding; returns each conv's output. The batch is not cached:
+  /// the caller keeps it for backward_parameters_stacked.
+  static std::vector<Tensor> forward_stacked(std::span<Conv2d* const> convs,
+                                             const Tensor& input);
+
+  /// Accumulates every conv's dW and db, given the batch `input` the
+  /// stacked forward ran over and each conv's output gradient, as one
+  /// implicit gemm_bt over the convs' stacked dY rows.
+  static void backward_parameters_stacked(
+      std::span<Conv2d* const> convs, const Tensor& input,
+      std::span<const Tensor* const> grad_outputs);
+
  private:
   tensor::Conv2dGeom geometry(const Shape& sample) const;
   /// Accumulates dW and db; returns dX when `input_gradient`, else an
@@ -57,7 +88,7 @@ class Conv2d : public Layer {
   std::size_t stride_ = 1;
   std::size_t pad_h_ = 0, pad_w_ = 0;
 
-  Tensor input_;               // cached batch
+  Tensor input_;               // cached batch (the lone-layer calls)
   tensor::Conv2dGeom geom_{};  // geometry of the cached batch
 };
 

@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
+#include "nn/lockstep.hpp"
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
 #include "obs/obs.hpp"
 #include "tensor/ops.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace prionn::nn {
@@ -54,11 +52,14 @@ const std::vector<Network::LayerCounters>& Network::layer_counters() {
 }
 
 Tensor Network::forward(const Tensor& batch, bool training) {
+  return forward_layers(batch, 0, training);
+}
+
+Tensor Network::forward_layers(Tensor x, std::size_t first, bool training) {
   // One relaxed load per call while layer timing is off.
   const std::vector<LayerCounters>* counters =
       obs::layer_timing_enabled() ? &layer_counters() : nullptr;
-  Tensor x = batch;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
+  for (std::size_t i = first; i < layers_.size(); ++i) {
     const std::uint64_t t0 = counters ? util::Timer::now_ns() : 0;
     x = layers_[i]->forward(std::move(x), training);
     if (counters) (*counters)[i].forward->inc(util::Timer::now_ns() - t0);
@@ -67,16 +68,17 @@ Tensor Network::forward(const Tensor& batch, bool training) {
 }
 
 Tensor Network::backward(const Tensor& grad_output) {
-  return backward_through(grad_output, /*input_gradient=*/true);
+  return backward_layers(grad_output, 0, /*input_gradient=*/true);
 }
 
-Tensor Network::backward_through(Tensor g, bool input_gradient) {
+Tensor Network::backward_layers(Tensor g, std::size_t first,
+                                bool input_gradient) {
   const std::vector<LayerCounters>* counters =
       obs::layer_timing_enabled() ? &layer_counters() : nullptr;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size(); i-- > first;) {
     const std::uint64_t t0 = counters ? util::Timer::now_ns() : 0;
-    if (i == 0 && !input_gradient) {
-      layers_[0]->backward_parameters(g);
+    if (i == first && !input_gradient) {
+      layers_[i]->backward_parameters(g);
       g = Tensor();
     } else {
       g = layers_[i]->backward(std::move(g));
@@ -104,26 +106,8 @@ std::vector<Tensor*> Network::gradients() const {
   return out;
 }
 
-Tensor Network::gather(const Tensor& batch,
-                       std::span<const std::size_t> idx) {
-  const std::size_t sample = batch.size() / batch.dim(0);
-  Shape shape = batch.shape();
-  shape[0] = idx.size();
-  Tensor out(std::move(shape));
-  for (std::size_t i = 0; i < idx.size(); ++i)
-    std::copy_n(batch.data() + idx[i] * sample, sample,
-                out.data() + i * sample);
-  return out;
-}
-
-double Network::train_batch(const Tensor& inputs,
-                            std::span<const std::uint32_t> labels,
-                            Optimizer& opt, double gradient_clip,
-                            double max_gradient_norm) {
-  zero_gradients();
-  const Tensor logits = forward(inputs, /*training=*/true);
-  LossResult loss = softmax_cross_entropy(logits, labels);
-  backward_through(std::move(loss.grad), /*input_gradient=*/false);
+void Network::apply_gradients(Optimizer& opt, double gradient_clip,
+                              double max_gradient_norm) {
   if (gradient_clip > 0.0) {
     for (Tensor* g : gradients())
       tensor::clip_inplace(g->span(), static_cast<float>(gradient_clip));
@@ -139,60 +123,26 @@ double Network::train_batch(const Tensor& inputs,
                              std::to_string(max_gradient_norm));
   }
   opt.step(parameters(), gradients());
-  return loss.value;
+}
+
+double Network::train_batch(const Tensor& inputs,
+                            std::span<const std::uint32_t> labels,
+                            Optimizer& opt, double gradient_clip,
+                            double max_gradient_norm) {
+  FitOptions one_step;
+  one_step.epochs = 1;
+  one_step.batch_size = std::max<std::size_t>(inputs.dim(0), 1);
+  one_step.shuffle = false;
+  one_step.gradient_clip = gradient_clip;
+  one_step.max_gradient_norm = max_gradient_norm;
+  return fit(inputs, labels, opt, one_step).final_loss();
 }
 
 FitReport Network::fit(const Tensor& inputs,
                        std::span<const std::uint32_t> labels, Optimizer& opt,
                        const FitOptions& options) {
-  const std::size_t n = inputs.dim(0);
-  if (labels.size() != n)
-    throw std::invalid_argument("Network::fit: label count mismatch");
-  if (options.batch_size == 0)
-    throw std::invalid_argument("Network::fit: batch_size must be > 0");
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  util::Rng rng(options.shuffle_seed);
-
-  FitReport report;
-  report.epoch_loss.reserve(options.epochs);
-  const double base_lr = opt.learning_rate();
-  double best_loss = std::numeric_limits<double>::infinity();
-  std::size_t epochs_without_improvement = 0;
-  for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    if (options.shuffle) rng.shuffle(order);
-    double loss_sum = 0.0;
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < n; start += options.batch_size) {
-      const std::size_t count = std::min(options.batch_size, n - start);
-      const std::span<const std::size_t> idx(order.data() + start, count);
-      const Tensor x = gather(inputs, idx);
-      std::vector<std::uint32_t> y(count);
-      for (std::size_t i = 0; i < count; ++i) y[i] = labels[idx[i]];
-      loss_sum += train_batch(x, y, opt, options.gradient_clip,
-                              options.max_gradient_norm);
-      ++batches;
-    }
-    const double epoch_loss =
-        batches ? loss_sum / static_cast<double>(batches) : 0.0;
-    report.epoch_loss.push_back(epoch_loss);
-
-    if (options.lr_decay_per_epoch != 1.0)
-      opt.set_learning_rate(opt.learning_rate() *
-                            options.lr_decay_per_epoch);
-    if (options.early_stop_patience > 0) {
-      if (epoch_loss < best_loss - options.min_loss_delta) {
-        best_loss = epoch_loss;
-        epochs_without_improvement = 0;
-      } else if (++epochs_without_improvement >=
-                 options.early_stop_patience) {
-        break;
-      }
-    }
-  }
-  if (options.lr_decay_per_epoch != 1.0) opt.set_learning_rate(base_lr);
-  return report;
+  const FitHead head{this, &opt, labels};
+  return std::move(fit_lockstep({&head, 1}, inputs, options).front());
 }
 
 std::vector<std::uint32_t> Network::predict_classes(const Tensor& inputs) {
@@ -210,7 +160,10 @@ Tensor Network::predict_probabilities(const Tensor& inputs) {
 }
 
 std::vector<Network::Top1> Network::predict_top1(const Tensor& inputs) {
-  const Tensor logits = forward(inputs, /*training=*/false);
+  return top1(forward(inputs, /*training=*/false));
+}
+
+std::vector<Network::Top1> Network::top1(const Tensor& logits) {
   const std::size_t n = logits.dim(0), c = logits.dim(1);
   std::vector<Top1> out(n);
   for (std::size_t i = 0; i < n; ++i) {

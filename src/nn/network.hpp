@@ -3,6 +3,16 @@
 // models are classifiers over value bins), predict_classes()/
 // predict_probabilities() serve inference, and repeated fit() calls realise
 // the paper's warm-start retraining protocol.
+//
+// The epoch/mini-batch loop itself lives in the lockstep driver
+// (nn/lockstep.hpp), which steps N networks over one shuffled order: each
+// mini-batch is gathered once, and when every network starts with a
+// Conv2d of one geometry (the PRIONN heads), layer 0 runs as one stacked
+// product for all of them on the caller's lanes before the networks fork,
+// one lane each, through layers 1..L, their losses, gradient-norm guards
+// and optimiser steps. fit() and train_batch() are its one-network calls,
+// so a network trained alone and one trained in lockstep take the same
+// steps bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +95,10 @@ class Network {
   FitReport fit(const Tensor& inputs, std::span<const std::uint32_t> labels,
                 Optimizer& opt, const FitOptions& options = {});
 
-  /// One gradient step on one mini-batch; returns the batch loss. Throws
-  /// TrainingDiverged on a non-finite loss or (when max_gradient_norm > 0)
-  /// an exploding gradient, before any weight is updated.
+  /// One gradient step on one mini-batch (one epoch of one unshuffled
+  /// batch); returns the batch loss. Throws TrainingDiverged on a
+  /// non-finite loss or (when max_gradient_norm > 0) an exploding gradient,
+  /// before any weight is updated.
   double train_batch(const Tensor& inputs,
                      std::span<const std::uint32_t> labels, Optimizer& opt,
                      double gradient_clip = 0.0,
@@ -107,6 +118,8 @@ class Network {
     double probability = 0.0;  // max softmax probability, (0, 1]
   };
   std::vector<Top1> predict_top1(const Tensor& inputs);
+  /// The same per-sample top-1 of an (N x C) logit batch.
+  static std::vector<Top1> top1(const Tensor& logits);
 
   /// Fraction of samples whose argmax matches the label.
   double accuracy(const Tensor& inputs,
@@ -119,12 +132,22 @@ class Network {
   static Network load(std::istream& is);
 
  private:
-  /// Gather rows `idx` of a batch tensor into a contiguous sub-batch.
-  static Tensor gather(const Tensor& batch, std::span<const std::size_t> idx);
+  friend class Lockstep;
 
-  /// backward(), computing the first layer's input gradient only when
-  /// `input_gradient` (train_batch has no use for it).
-  Tensor backward_through(Tensor grad_output, bool input_gradient);
+  /// Layers first..L-1 forward over `x`, each timed at its position.
+  Tensor forward_layers(Tensor x, std::size_t first, bool training);
+
+  /// Layers L-1..first backward from `grad_output`; returns the gradient
+  /// w.r.t. layer `first`'s input, or (when !input_gradient) lets layer
+  /// `first` skip it and returns an empty tensor.
+  Tensor backward_layers(Tensor grad_output, std::size_t first,
+                         bool input_gradient);
+
+  /// The step after backward: element-wise clipping, the gradient-norm
+  /// guard (throws TrainingDiverged before any weight moves) and the
+  /// optimiser update.
+  void apply_gradients(Optimizer& opt, double gradient_clip,
+                       double max_gradient_norm);
 
   /// Per-layer timing counters, one forward/backward pair per position,
   /// named by position and kind (prionn_nn_forward_ns_total_00_conv2d).

@@ -22,6 +22,10 @@ namespace prionn::nn {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50524e4e;  // "PRNN"
+/// Format version, written right after the magic. Version 1 is the
+/// unversioned stream before it (magic, then the layer count), which this
+/// loader reads as version = its layer count and rejects as such.
+constexpr std::uint32_t kVersion = 2;
 
 using Loader = std::function<std::unique_ptr<Layer>(std::istream&)>;
 
@@ -55,6 +59,7 @@ std::string read_string(std::istream& is) {
 
 void save_network(std::ostream& os, const Network& net) {
   os.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
+  os.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
   const auto depth = static_cast<std::uint32_t>(net.depth());
   os.write(reinterpret_cast<const char*>(&depth), sizeof(depth));
   // save() below needs non-const layer access only for parameters(), which
@@ -68,11 +73,18 @@ void save_network(std::ostream& os, const Network& net) {
 }
 
 Network load_network(std::istream& is) {
-  std::uint32_t magic = 0, depth = 0;
+  std::uint32_t magic = 0, version = 0, depth = 0;
   is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  is.read(reinterpret_cast<char*>(&depth), sizeof(depth));
   if (!is || magic != kMagic)
     throw std::runtime_error("load_network: bad magic");
+  is.read(reinterpret_cast<char*>(&version), sizeof(version));
+  if (!is) throw std::runtime_error("load_network: truncated header");
+  if (version != kVersion)
+    throw std::runtime_error("load_network: unsupported stream version " +
+                             std::to_string(version) + " (reads " +
+                             std::to_string(kVersion) + ")");
+  is.read(reinterpret_cast<char*>(&depth), sizeof(depth));
+  if (!is) throw std::runtime_error("load_network: truncated header");
   // A corrupt depth would otherwise drive the loader through arbitrary
   // garbage before it trips on a layer tag; no real model comes close.
   if (depth > 1024)

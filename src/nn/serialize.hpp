@@ -1,5 +1,7 @@
-// Network (de)serialisation: a tagged sequence of layers. Used to
-// checkpoint PRIONN models between online retraining events and in tests.
+// Network (de)serialisation: a tagged sequence of layers after a "PRNN"
+// magic and a format version. Used to checkpoint PRIONN models between
+// online retraining events and in tests. A stream of another version
+// fails to load with an "unsupported stream version" error.
 #pragma once
 
 #include <iosfwd>

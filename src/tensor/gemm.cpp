@@ -16,9 +16,8 @@ namespace {
 // Register-tiled micro-kernel: an MR x NR accumulator block lives in
 // vector registers for the whole k-strip, so each element of C is loaded
 // and stored once per k-block instead of once per k iteration. NR = 32
-// floats is two AVX-512 lanes (or four AVX2 lanes); MR = 4 keeps
-// MR * NR / 32 + spare well under the register budget.
-constexpr std::size_t kMR = 4;
+// floats is two AVX-512 lanes (or four AVX2 lanes); MR = kMR = 4
+// (gemm.hpp) keeps MR * NR / 32 + spare well under the register budget.
 constexpr std::size_t kNR = 32;
 // Cache blocking: a kKC x kNC panel of B (~512 KiB) fits in L2.
 constexpr std::size_t kKC = 256;
@@ -249,7 +248,13 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
       c(c0, c0 + nc, block, nc);
     }
   };
-  if (run_serially(m, k, n, panels))
+  // Producing B costs far more per element than one row of the product:
+  // conv 0 at batch 32 lowers its patches in 1.65 ms against 0.36 ms for
+  // its M = 4 product. So the fork threshold counts each element of B as
+  // kLoweringRows more rows of A; a batch-1 stacked layer 0 (M = 12)
+  // then splits its panels over the lanes.
+  constexpr std::size_t kLoweringRows = 4 * kMR;
+  if (run_serially(m + kLoweringRows, k, n, panels))
     run_panels(0, panels);
   else
     util::ThreadPool::global().parallel_for_chunks(0, panels, run_panels);

@@ -16,6 +16,16 @@
 
 namespace prionn::tensor {
 
+/// Rows of the register micro-tile. Every product walks C's rows in tiles
+/// of kMR from row 0, and an element's arithmetic depends only on its row
+/// of A, its column of B and the kKC depth blocks, each walked from 0; no
+/// entry point splits C's rows anywhere but on a tile boundary. So A may
+/// stack the rows of several operands into one product, and each operand's
+/// rows get the bits of its own product, provided each operand's block
+/// starts on a kMR multiple. Conv2d's stacked layer 0 pads every block but
+/// the last with zero rows to keep that (nn/conv2d.hpp).
+inline constexpr std::size_t kMR = 4;
+
 /// C[m x n] = alpha * A[m x k] * B[k x n] + beta * C.  Row-major, no alias.
 void gemm(std::size_t m, std::size_t k, std::size_t n, float alpha,
           const float* a, const float* b, float beta, float* c);

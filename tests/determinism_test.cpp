@@ -15,6 +15,7 @@
 #include "core/model_zoo.hpp"
 #include "core/predictor.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/lockstep.hpp"
 #include "nn/loss.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
@@ -331,12 +332,12 @@ TEST(ThreadCountIndependence, LoneHeadKeepsTheCallersLanes) {
     const std::size_t caller_lanes = ThreadPool::global().lanes();
 
     std::size_t lone_lanes = 0;
-    prionn::core::for_each_head(
+    prionn::nn::for_each_head(
         1, [&](std::size_t) { lone_lanes = ThreadPool::global().lanes(); });
     EXPECT_EQ(lone_lanes, caller_lanes);
 
     std::vector<std::size_t> head_lanes(3, 0);
-    prionn::core::for_each_head(3, [&](std::size_t h) {
+    prionn::nn::for_each_head(3, [&](std::size_t h) {
       head_lanes[h] = ThreadPool::global().lanes();
     });
     for (std::size_t h = 0; h < 3; ++h)

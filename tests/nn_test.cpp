@@ -3,9 +3,11 @@
 // on a tiny task, and serialisation round trips.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <iterator>
 #include <limits>
@@ -20,6 +22,7 @@
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
+#include "nn/lockstep.hpp"
 #include "nn/loss.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
@@ -663,9 +666,10 @@ TEST(Network, LoadRejectsUnknownLayerKind) {
        {"batchnorm", "conv1d", "maxpool1d", "tanh", "sigmoid"}) {
     SCOPED_TRACE(kind);
     std::stringstream ss;
-    const std::uint32_t magic = 0x50524e4e, depth = 1;
+    const std::uint32_t magic = 0x50524e4e, version = 2, depth = 1;
     const auto len = static_cast<std::uint32_t>(kind.size());
     ss.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    ss.write(reinterpret_cast<const char*>(&version), sizeof(version));
     ss.write(reinterpret_cast<const char*>(&depth), sizeof(depth));
     ss.write(reinterpret_cast<const char*>(&len), sizeof(len));
     ss.write(kind.data(), static_cast<std::streamsize>(kind.size()));
@@ -675,6 +679,30 @@ TEST(Network, LoadRejectsUnknownLayerKind) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("unknown layer kind '" + kind +
                                            "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The stream carries its format version after the magic. An older stream
+// fails with a version error rather than as a corrupt layer: one that says
+// version 1, and one from before the field, whose layer count (3) takes
+// its place.
+TEST(Network, LoadRejectsOlderStreamVersions) {
+  for (const std::uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE(version);
+    std::stringstream ss;
+    const std::uint32_t magic = 0x50524e4e;
+    ss.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    ss.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    ss << "\x05\0\0\0dense";
+    try {
+      nn::load_network(ss);
+      ADD_FAILURE() << "load_network accepted version " << version;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported stream version " +
+                                           std::to_string(version)),
                 std::string::npos)
           << e.what();
     }
@@ -932,4 +960,244 @@ TEST(Network, TrainStepsMatchPinnedDigest) {
     EXPECT_EQ(got, kFma ? c.digest_fma : c.digest_no_fma)
         << std::hex << "got 0x" << got;
   }
+}
+
+// ----------------------------------------------------------- lockstep ---
+
+namespace {
+
+/// Bytes of a network's save() and of its Adam moments.
+struct Trained {
+  std::string net, adam;
+};
+
+Trained trained_bytes(const nn::Network& net, const nn::Adam& opt) {
+  std::ostringstream weights(std::ios::binary), moments(std::ios::binary);
+  net.save(weights);
+  opt.save(moments, net.parameters());
+  return {std::move(weights).str(), std::move(moments).str()};
+}
+
+/// Three heads of one input geometry: the nets `make(h)` builds, their
+/// labels (head h sorts sample i into (i * (7 + h)) % classes[h]), and
+/// one Adam each.
+struct Heads {
+  std::vector<nn::Network> nets;
+  std::vector<nn::Adam> opts;
+  std::vector<std::vector<std::uint32_t>> labels;
+
+  Heads(const std::function<nn::Network(std::size_t)>& make,
+        const std::vector<std::uint32_t>& classes, std::size_t samples) {
+    for (std::size_t h = 0; h < classes.size(); ++h) {
+      nets.push_back(make(h));
+      opts.emplace_back(1e-3);
+      std::vector<std::uint32_t> y(samples);
+      for (std::size_t i = 0; i < samples; ++i)
+        y[i] = static_cast<std::uint32_t>((i * (7 + h)) % classes[h]);
+      labels.push_back(std::move(y));
+    }
+  }
+
+  std::vector<nn::FitHead> fit_heads() {
+    std::vector<nn::FitHead> out;
+    for (std::size_t h = 0; h < nets.size(); ++h)
+      out.push_back({&nets[h], &opts[h], labels[h]});
+    return out;
+  }
+};
+
+nn::FitOptions lockstep_fit_options(std::size_t batch_size) {
+  nn::FitOptions fit;
+  fit.epochs = 2;
+  fit.batch_size = batch_size;
+  fit.shuffle_seed = 17;
+  return fit;
+}
+
+/// Trains the heads `make` builds once in lockstep and once each alone,
+/// on the same batch, and expects the same reports, weights and Adam
+/// moments bit for bit.
+void expect_lockstep_matches_solo(
+    const std::function<nn::Network(std::size_t)>& make,
+    const std::vector<std::uint32_t>& classes, const Tensor& x,
+    std::size_t batch_size) {
+  const nn::FitOptions fit = lockstep_fit_options(batch_size);
+  Heads lockstep(make, classes, x.dim(0)), solo(make, classes, x.dim(0));
+  const auto heads = lockstep.fit_heads();
+  const std::vector<nn::FitReport> reports =
+      nn::fit_lockstep(heads, x, fit);
+  ASSERT_EQ(reports.size(), classes.size());
+  for (std::size_t h = 0; h < classes.size(); ++h) {
+    SCOPED_TRACE("head " + std::to_string(h));
+    const nn::FitReport alone =
+        solo.nets[h].fit(x, solo.labels[h], solo.opts[h], fit);
+    EXPECT_EQ(reports[h].epoch_loss, alone.epoch_loss);
+    const Trained a = trained_bytes(lockstep.nets[h], lockstep.opts[h]);
+    const Trained b = trained_bytes(solo.nets[h], solo.opts[h]);
+    EXPECT_TRUE(a.net == b.net) << "weights differ";
+    EXPECT_TRUE(a.adam == b.adam) << "Adam moments differ";
+  }
+}
+
+/// The zoo model of `kind`/`preset` over `channels` input channels, seeded
+/// per head, with the head's class count.
+std::function<nn::Network(std::size_t)> zoo_heads(
+    prionn::core::ModelKind kind, prionn::core::ModelPreset preset,
+    std::size_t channels, std::vector<std::uint32_t> classes) {
+  return [=](std::size_t h) {
+    prionn::core::ModelConfig config;
+    config.kind = kind;
+    config.preset = preset;
+    config.channels = channels;
+    config.classes = classes[h];
+    config.seed = 300 + h;
+    return prionn::core::build_model(config);
+  };
+}
+
+Tensor zoo_batch(prionn::core::ModelKind kind, std::size_t samples,
+                 std::size_t channels, std::uint64_t seed) {
+  return kind == prionn::core::ModelKind::kCnn1d
+             ? random_tensor({samples, channels, 1, 64 * 64}, seed)
+             : random_tensor({samples, channels, 64, 64}, seed);
+}
+
+}  // namespace
+
+// Three heads trained in lockstep (layer 0 stacked into one product) take
+// the same steps as each trained alone: 2D-CNN kFast (M = 3 x 4) and
+// kPaper (3 x 8), the 1D-CNN, and the fully connected model, whose layer 0
+// (Flatten) does not stack and runs per head. Mini-batches of 8 over 20
+// samples end on a partial batch of 4.
+TEST(Lockstep, ZooHeadsMatchSoloFits) {
+  using prionn::core::ModelKind;
+  using prionn::core::ModelPreset;
+  const std::vector<std::uint32_t> classes = {24, 9, 9};
+  struct Case {
+    const char* name;
+    ModelKind kind;
+    ModelPreset preset;
+  };
+  for (const Case& c : {Case{"cnn2d fast", ModelKind::kCnn2d,
+                             ModelPreset::kFast},
+                        Case{"cnn2d paper", ModelKind::kCnn2d,
+                             ModelPreset::kPaper},
+                        Case{"cnn1d fast", ModelKind::kCnn1d,
+                             ModelPreset::kFast},
+                        Case{"dense fast", ModelKind::kFullyConnected,
+                             ModelPreset::kFast}}) {
+    SCOPED_TRACE(c.name);
+    expect_lockstep_matches_solo(zoo_heads(c.kind, c.preset, 4, classes),
+                                 classes, zoo_batch(c.kind, 20, 4, 91), 8);
+  }
+}
+
+// The one-hot transform's 128 channels give conv 0 1152 patch rows (more
+// than one GEMM depth block), and its weight gradient splits a
+// mini-batch of 8 into sub-batches of 3, 3 and 2.
+TEST(Lockstep, OneHotConvZeroMatchesSoloFits) {
+  const std::vector<std::uint32_t> classes = {24, 9, 9};
+  expect_lockstep_matches_solo(
+      zoo_heads(prionn::core::ModelKind::kCnn2d,
+                prionn::core::ModelPreset::kFast, 128, classes),
+      classes, zoo_batch(prionn::core::ModelKind::kCnn2d, 12, 128, 92), 8);
+}
+
+// Conv 0 with 6, 3 and 6 output channels: no block is a kMR (4) multiple,
+// so the stacked rows carry zero padding after heads 0 and 1 and each
+// head's block still starts on a micro-tile.
+TEST(Lockstep, UnalignedConvZeroBlocksMatchSoloFits) {
+  const std::vector<std::size_t> out_channels = {6, 3, 6};
+  const std::vector<std::uint32_t> classes = {5, 4, 3};
+  const auto make = [&](std::size_t h) {
+    prionn::util::Rng rng(400 + h);
+    nn::Network net;
+    net.emplace<nn::Conv2d>(2, out_channels[h], 3, 3, 1, 1, 1, rng);
+    net.emplace<nn::Relu>();
+    net.emplace<nn::MaxPool2d>(2, 2);
+    net.emplace<nn::Flatten>();
+    net.emplace<nn::Dense>(out_channels[h] * 8 * 8, classes[h], rng);
+    return net;
+  };
+  expect_lockstep_matches_solo(make, classes,
+                               random_tensor({20, 2, 16, 16}, 93), 8);
+}
+
+// A head that diverges leaves the lockstep after its failing step with its
+// weights and Adam moments as they were before that step; the others run
+// to the end exactly as alone, and then its TrainingDiverged is rethrown.
+TEST(Lockstep, DivergingHeadLeavesTheOthersUnchanged) {
+  using prionn::core::ModelKind;
+  const std::vector<std::uint32_t> classes = {24, 9, 9};
+  const auto make = zoo_heads(ModelKind::kCnn2d,
+                              prionn::core::ModelPreset::kFast, 4, classes);
+  const Tensor x = zoo_batch(ModelKind::kCnn2d, 20, 4, 94);
+  const nn::FitOptions fit = lockstep_fit_options(8);
+  Heads lockstep(make, classes, x.dim(0)), solo(make, classes, x.dim(0));
+  // One warm fit first, so every head has Adam moments to keep.
+  const auto heads = lockstep.fit_heads();
+  nn::fit_lockstep(heads, x, fit);
+  for (std::size_t h = 0; h < classes.size(); ++h)
+    solo.nets[h].fit(x, solo.labels[h], solo.opts[h], fit);
+
+  // A NaN in head 1's conv-0 weights: its rows of the stacked product go
+  // NaN, and its loss diverges at the first step.
+  lockstep.nets[1].parameters().front()->data()[5] =
+      std::numeric_limits<float>::quiet_NaN();
+  // save() also holds the dropout RNG, which the failing forward advanced
+  // (as it does for a head trained alone); the parameters must not move.
+  const auto parameter_bytes = [](const nn::Network& net) {
+    std::string bytes;
+    for (const Tensor* p : net.parameters())
+      bytes.append(reinterpret_cast<const char*>(p->data()),
+                   p->size() * sizeof(float));
+    return bytes;
+  };
+  const std::string weights = parameter_bytes(lockstep.nets[1]);
+  const std::string moments =
+      trained_bytes(lockstep.nets[1], lockstep.opts[1]).adam;
+  EXPECT_THROW(nn::fit_lockstep(heads, x, fit), nn::TrainingDiverged);
+  EXPECT_TRUE(parameter_bytes(lockstep.nets[1]) == weights)
+      << "diverged head's weights moved";
+  EXPECT_TRUE(trained_bytes(lockstep.nets[1], lockstep.opts[1]).adam ==
+              moments)
+      << "diverged head's Adam moments moved";
+
+  for (const std::size_t h : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("head " + std::to_string(h));
+    solo.nets[h].fit(x, solo.labels[h], solo.opts[h], fit);
+    const Trained a = trained_bytes(lockstep.nets[h], lockstep.opts[h]);
+    const Trained b = trained_bytes(solo.nets[h], solo.opts[h]);
+    EXPECT_TRUE(a.net == b.net) << "weights differ";
+    EXPECT_TRUE(a.adam == b.adam) << "Adam moments differ";
+  }
+}
+
+// A stacked layer 0 adds its wall time to the position-0 counter once per
+// call, not once per head: over a lockstep forward of three heads the
+// counter grows by no more than the call's own elapsed time.
+TEST(Lockstep, LayerZeroTimeIsAddedOncePerStackedCall) {
+  if (!prionn::obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const std::vector<std::uint32_t> classes = {24, 9, 9};
+  const auto make = zoo_heads(prionn::core::ModelKind::kCnn2d,
+                              prionn::core::ModelPreset::kFast, 4, classes);
+  std::vector<nn::Network> nets;
+  for (std::size_t h = 0; h < classes.size(); ++h) nets.push_back(make(h));
+  std::vector<nn::Network*> heads;
+  for (auto& net : nets) heads.push_back(&net);
+  const Tensor x = zoo_batch(prionn::core::ModelKind::kCnn2d, 8, 4, 95);
+  auto& counter =
+      prionn::obs::registry().counter("prionn_nn_forward_ns_total_00_conv2d");
+  const std::uint64_t before = counter.value();
+  prionn::obs::set_layer_timing(true);
+  const auto t0 = std::chrono::steady_clock::now();
+  nn::forward_lockstep(heads, x, /*training=*/false);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  prionn::obs::set_layer_timing(false);
+  const std::uint64_t added = counter.value() - before;
+  EXPECT_GT(added, 0u);
+  EXPECT_LE(added, static_cast<std::uint64_t>(
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           elapsed)
+                           .count()));
 }

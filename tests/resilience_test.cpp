@@ -233,6 +233,30 @@ TEST(PredictorSnapshot, RejectsDamagedStreams) {
   EXPECT_THROW(core::PrionnPredictor::load(bad_magic), std::runtime_error);
 }
 
+// The stream carries its version after the magic: an older one (version
+// 1, or one from before the field, whose image rows take its place) fails
+// with a version error.
+TEST(PredictorSnapshot, RejectsOlderStreamVersions) {
+  core::PrionnPredictor p(tiny_predictor_options());
+  const std::string bytes = predictor_bytes(p);
+
+  std::string version_one = bytes;
+  version_one.replace(4, 4, std::string("\x01\0\0\0", 4));
+  std::string unversioned = bytes;
+  unversioned.erase(4, 4);
+  for (const std::string& stream : {version_one, unversioned}) {
+    std::istringstream is(stream, std::ios::binary);
+    try {
+      core::PrionnPredictor::load(is);
+      ADD_FAILURE() << "load accepted an older stream";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported stream version"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ----------------------------------------------------- checkpoint frame ---
 
 TEST(Checkpoint, FrameRoundTrips) {
