@@ -229,9 +229,9 @@ bool PredictionService::retrain_due() const {
 }
 
 void PredictionService::batcher_loop() {
-  // Inference runs inline on this thread: it never queues on the pool's
-  // submission lock behind the shadow trainer's parallel loops, which
-  // hold the rest of the pool for a whole training event.
+  // Inference runs inline on this thread: it neither takes nor waits for
+  // a pool worker, which the shadow trainer's heads keep busy for a whole
+  // training event.
   const util::ThreadPool::LaneWidth inline_lanes(1);
   for (;;) {
     std::vector<Request> batch;

@@ -10,7 +10,6 @@
 #include "nn/sample_parallel.hpp"
 #include "tensor/gemm.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace prionn::nn {
 
@@ -22,7 +21,8 @@ namespace {
 constexpr std::size_t kMaxColsFloats = 16u << 20;  // 64 MiB
 
 /// Scratch of the calling thread, shared by every Conv2d of every network
-/// it runs. Layer calls never nest, so one grow-only set per thread serves
+/// it runs. Layer calls never nest, and the pool never starts another body
+/// on a thread that is inside one, so one grow-only set per thread serves
 /// them all: a retrain sizes it once for the widest layer instead of
 /// allocating per call, and keeps no per-layer copy. The patch matrix
 /// itself is never stored: the forward and the weight gradient lower it
@@ -323,9 +323,7 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output,
   // pixels), read straight from grad_output and added back by col2im
   // while it is still in cache. A column's product does not depend on
   // which columns share its GEMM call, so this matches one product over
-  // the whole batch bit for bit. The product runs serially inside the
-  // per-sample body: a loop submitted from a worker would deadlock on the
-  // pool's submission lock.
+  // the whole batch bit for bit.
   const std::size_t batch = grad_output.dim(0);
   const std::size_t pr = geom_.patch_rows();
   const std::size_t pixels = geom_.patch_cols();
@@ -337,7 +335,6 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output,
   const float* dout = grad_output.data();
   float* dx = grad_input.data();
   for_each_sample(batch, pr * pixels, [=](std::size_t lo, std::size_t hi) {
-    const util::ThreadPool::LaneWidth serial(1);
     float* grad_cols = grown(scratch().grad_cols, pr * pixels);
     for (std::size_t s = lo; s < hi; ++s) {
       tensor::gemm_at(pr, oc, pixels, 1.0f, w, dout + s * oc * pixels, 0.0f,

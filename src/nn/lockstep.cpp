@@ -27,9 +27,14 @@ void for_each_head(std::size_t heads,
     }
   };
   auto& pool = util::ThreadPool::global();
-  if (heads > 1 && pool.lanes() > 1) {
+  const std::size_t lanes = pool.lanes();
+  if (heads > 1 && lanes > 1) {
+    // Each head's own loops split ceil(lanes / heads) ways; the pool gives
+    // a chunk to whichever thread is idle, such as a spare lane or one
+    // whose head has finished.
+    const std::size_t width = (lanes + heads - 1) / heads;
     pool.parallel_for(0, heads, [&](std::size_t i) {
-      const util::ThreadPool::LaneWidth serial(1);
+      const util::ThreadPool::LaneWidth head_lanes(width);
       run(i);
     });
   } else {

@@ -9,13 +9,13 @@
 // product for all of them (Conv2d::forward_stacked, then
 // Conv2d::backward_parameters_stacked for the weight gradient) on the
 // caller's lanes, so the shared images are lowered once instead of once
-// per network. The networks then fork, one lane each (for_each_head),
-// through layers 1..L, their losses, gradient-norm guards and optimiser
-// steps. A network whose layer 0 is not a stacking Conv2d runs layer 0 in
-// the fork like every other layer. The stacked rows keep each network's
-// arithmetic (tensor::kMR in tensor/gemm.hpp), so a network gets the same
-// bits in lockstep as trained alone; Network::fit and train_batch are the
-// one-network calls.
+// per network. The networks then fork over the caller's lanes
+// (for_each_head) through layers 1..L, their losses, gradient-norm guards
+// and optimiser steps. A network whose layer 0 is not a stacking Conv2d
+// runs layer 0 in the fork like every other layer. The stacked rows keep
+// each network's arithmetic (tensor::kMR in tensor/gemm.hpp), so a
+// network gets the same bits in lockstep as trained alone; Network::fit
+// and train_batch are the one-network calls.
 #pragma once
 
 #include <cstddef>
@@ -31,12 +31,14 @@ namespace prionn::nn {
 /// Runs head(0) .. head(heads - 1), independent per-network jobs. When
 /// more than one head and more than one of the calling thread's lanes are
 /// available, the heads run side by side over those lanes, each at lane
-/// width 1; otherwise they run in series on the calling thread at its own
-/// lane width, so a lone head keeps every lane for its layers. Every layer
-/// gives the same bits at any width, so this moves work but changes no
-/// arithmetic. Every head runs to the end; then the exception of the
-/// lowest-indexed head that threw is rethrown, so which error the caller
-/// sees never depends on timing.
+/// width ceil(lanes / heads): three heads on 4 lanes split their own loops
+/// in two, and an idle thread (the spare lane, or one whose head is done)
+/// takes the other half. Otherwise they run in series on the calling
+/// thread at its own lane width, so a lone head keeps every lane for its
+/// layers. Every layer gives the same bits at any width, so this moves
+/// work but changes no arithmetic. Every head runs to the end; then the
+/// exception of the lowest-indexed head that threw is rethrown, so which
+/// error the caller sees never depends on timing.
 void for_each_head(std::size_t heads,
                    const std::function<void(std::size_t)>& head);
 

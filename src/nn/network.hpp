@@ -9,10 +9,10 @@
 // mini-batch is gathered once, and when every network starts with a
 // Conv2d of one geometry (the PRIONN heads), layer 0 runs as one stacked
 // product for all of them on the caller's lanes before the networks fork,
-// one lane each, through layers 1..L, their losses, gradient-norm guards
-// and optimiser steps. fit() and train_batch() are its one-network calls,
-// so a network trained alone and one trained in lockstep take the same
-// steps bit for bit.
+// sharing those lanes, through layers 1..L, their losses, gradient-norm
+// guards and optimiser steps. fit() and train_batch() are its one-network
+// calls, so a network trained alone and one trained in lockstep take the
+// same steps bit for bit.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,41 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <utility>
 
 #include "util/check.hpp"
 
 namespace prionn::util {
 
 namespace {
+
 thread_local std::size_t t_lane_width = 0;  // 0: the whole pool
+
+std::size_t thread_count(std::size_t threads) {
+  const std::size_t n =
+      threads ? threads : std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
 }  // namespace
+
+struct ThreadPool::Loop {
+  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t chunks = 0;
+  /// The submitter's lanes(); every chunk runs at this width.
+  std::size_t width = 0;
+  // Guarded by the pool's mutex_ from publication on.
+  std::size_t next = 0;     // the next unclaimed chunk
+  std::size_t handed = 0;   // chunks handed to workers not yet started
+  std::size_t helping = 0;  // chunks other threads claimed and still run
+  std::exception_ptr error;
+  std::size_t error_chunk = 0;
+  /// Signalled when `helping` drops to zero.
+  CondVar done;
+};
 
 ThreadPool::LaneWidth::LaneWidth(std::size_t width) noexcept
     : previous_(t_lane_width) {
@@ -21,13 +48,13 @@ std::size_t ThreadPool::lanes() const noexcept {
   return t_lane_width == 0 ? size() : std::min(t_lane_width, size());
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  std::size_t n = threads ? threads : std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-  workers_.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) {
+ThreadPool::ThreadPool(std::size_t threads)
+    : wake_(thread_count(threads) - 1),
+      idle_(wake_.size(), false),
+      handoffs_(wake_.size()) {
+  workers_.reserve(wake_.size());
+  for (std::size_t i = 0; i < wake_.size(); ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
-  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -35,47 +62,72 @@ ThreadPool::~ThreadPool() {
     ScopedLock lock(mutex_);
     stop_ = true;
   }
-  cv_start_.notify_all();
+  for (auto& wake : wake_) wake.notify_one();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_chunk(const Task& task, std::size_t chunk_id) {
-  PRIONN_DCHECK(task.body != nullptr && chunk_id < task.chunks)
+std::size_t ThreadPool::claim(Loop& loop) {
+  const std::size_t chunk = loop.next++;
+  if (loop.next == loop.chunks) std::erase(open_, &loop);
+  return chunk;
+}
+
+void ThreadPool::run_chunk(Loop& loop, std::size_t chunk_id) {
+  PRIONN_DCHECK(chunk_id < loop.chunks)
       << "ThreadPool::run_chunk: chunk " << chunk_id << " of "
-      << task.chunks;
-  const std::size_t total = task.end - task.begin;
-  const std::size_t per = total / task.chunks;
-  const std::size_t extra = total % task.chunks;
+      << loop.chunks;
+  const std::size_t total = loop.end - loop.begin;
+  const std::size_t per = total / loop.chunks;
+  const std::size_t extra = total % loop.chunks;
   // First `extra` chunks take one extra iteration so the partition is exact.
   const std::size_t lo =
-      task.begin + chunk_id * per + std::min(chunk_id, extra);
+      loop.begin + chunk_id * per + std::min(chunk_id, extra);
   const std::size_t hi = lo + per + (chunk_id < extra ? 1 : 0);
-  if (lo >= hi) return;
   try {
-    (*task.body)(lo, hi);
+    const LaneWidth width(loop.width);
+    (*loop.body)(lo, hi);
   } catch (...) {
     ScopedLock lock(mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
+    if (!loop.error || chunk_id < loop.error_chunk) {
+      loop.error = std::current_exception();
+      loop.error_chunk = chunk_id;
+    }
   }
 }
 
-void ThreadPool::worker_loop(std::size_t worker_id) {
-  std::size_t seen_generation = 0;
+void ThreadPool::worker_loop(std::size_t id) {
+  Loop* loop = nullptr;  // the loop of the chunk just run, if any
   for (;;) {
-    Task task;
+    std::size_t chunk = 0;
     {
       ScopedLock lock(mutex_);
-      while (!stop_ && generation_ == seen_generation)
-        cv_start_.wait(mutex_);
-      if (stop_) return;
-      seen_generation = generation_;
-      task = task_;
+      // Finishing a chunk and turning idle share one critical section:
+      // once its submitter sees the chunk done, this worker is idle, where
+      // the next loop can hand it a chunk, or running another one. Signal
+      // under the lock, so the submitter cannot see `helping` reach zero,
+      // return and free the loop before the signal is out.
+      if (loop && --loop->helping == 0) loop->done.notify_one();
+      idle_[id] = true;
+      for (;;) {
+        if (stop_) return;
+        Handoff& handoff = handoffs_[id];
+        if (handoff.loop) {
+          loop = std::exchange(handoff.loop, nullptr);
+          chunk = handoff.chunk;
+          --loop->handed;
+          break;
+        }
+        if (!open_.empty()) {
+          loop = open_.front();
+          chunk = claim(*loop);
+          ++loop->helping;
+          break;
+        }
+        wake_[id].wait(mutex_);
+      }
+      idle_[id] = false;
     }
-    if (worker_id < task.chunks) run_chunk(task, worker_id);
-    {
-      ScopedLock lock(mutex_);
-      if (--remaining_ == 0) cv_done_.notify_all();
-    }
+    run_chunk(*loop, chunk);
   }
 }
 
@@ -83,40 +135,63 @@ void ThreadPool::parallel_for_chunks(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks = std::min(total, lanes());
-  if (chunks <= 1 || workers_.empty()) {
+  const std::size_t width = lanes();
+  const std::size_t chunks = std::min(end - begin, width);
+  if (chunks <= 1) {
     fn(begin, end);
     return;
   }
-  // One loop at a time: the single task_ slot and the generation protocol
-  // assume exactly one submitter, so concurrent callers queue here.
-  ScopedLock submit_lock(submit_mutex_);
-  // Workers with id >= chunks still wake and decrement remaining_, so the
-  // partition below stays exact only while chunks <= workers + 1.
-  PRIONN_CHECK(chunks <= workers_.size() + 1)
-      << "ThreadPool: " << chunks << " chunks for " << workers_.size() + 1
-      << " threads";
-  const Task task{&fn, begin, end, chunks};
+  Loop loop;
+  loop.body = &fn;
+  loop.begin = begin;
+  loop.end = end;
+  loop.chunks = chunks;
+  loop.width = width;
+  std::size_t chunk = 0;
   {
     ScopedLock lock(mutex_);
-    task_ = task;
-    first_error_ = nullptr;
-    remaining_ = workers_.size();
-    ++generation_;
+    open_.push_back(&loop);
+    chunk = claim(loop);
+    // Hand chunk k to the k-th lowest-numbered idle worker. A loop's
+    // chunks then go to the same threads whenever those are idle: the
+    // heads of nn::for_each_head stay on their threads from one step to
+    // the next, and with them their thread_local scratch and their malloc
+    // arenas. Chunks left over are claimed by whoever gets to them first.
+    for (std::size_t i = 0; i < idle_.size() && loop.next < chunks; ++i) {
+      if (!idle_[i] || handoffs_[i].loop) continue;
+      handoffs_[i] = {&loop, claim(loop)};
+      ++loop.handed;
+      ++loop.helping;
+      wake_[i].notify_one();
+    }
   }
-  cv_start_.notify_all();
-  // Worker ids are 1..workers_.size() and each runs chunk == id when
-  // id < chunks; the calling thread always takes chunk 0, so with
-  // chunks <= workers + 1 the partition is exact and disjoint.
-  run_chunk(task, 0);
-  std::exception_ptr first_error;
+  // Run chunk 0, then every chunk no other thread has claimed yet, then
+  // every chunk handed to a worker that has not woken up to start it (the
+  // worker stays idle).
+  for (;;) {
+    run_chunk(loop, chunk);
+    ScopedLock lock(mutex_);
+    if (loop.next < loop.chunks) {
+      chunk = claim(loop);
+      continue;
+    }
+    if (loop.handed == 0) break;
+    for (Handoff& handoff : handoffs_) {
+      if (handoff.loop != &loop) continue;
+      handoff.loop = nullptr;
+      chunk = handoff.chunk;
+      --loop.handed;
+      --loop.helping;
+      break;
+    }
+  }
+  std::exception_ptr error;
   {
     ScopedLock lock(mutex_);
-    while (remaining_ != 0) cv_done_.wait(mutex_);
-    first_error = first_error_;
+    while (loop.helping != 0) loop.done.wait(mutex_);
+    error = loop.error;
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

@@ -1,12 +1,28 @@
 // Work-sharing thread pool used for data-parallel loops (GEMM tiles,
 // per-sample gradient computation, forest fitting). The pool follows the
-// OpenMP "parallel for" model: a static partition of the index range over a
-// fixed set of workers, which is the right shape for the regular,
+// OpenMP "parallel for" model: a static partition of the index range into
+// at most lanes() chunks, which is the right shape for the regular,
 // equal-cost iterations that dominate this library.
+//
+// The pool keeps a short list of open loops. A submitter publishes its
+// loop there, hands one chunk to each of the lowest-numbered idle workers
+// as it wakes them, and claims the rest itself until none are left; a
+// worker that finishes a chunk claims chunks of the oldest open loop
+// before it goes back to sleep. The submitter then waits only for the
+// chunks other threads started; a handed chunk whose worker has not woken
+// yet it takes back and runs. There is no submission lock: loops from several
+// threads run at once, and a loop may be submitted from inside a loop
+// body. This cannot deadlock: a submitter can always run every chunk of
+// its own loop that no other thread has started, and a started chunk
+// runs on a thread that waits only for loops submitted below it.
+//
+// A waiting submitter never runs other loops' chunks: bodies keep scratch
+// in thread_local buffers, and a thread inside one body must not run an
+// unrelated body that uses the same buffer. A thread runs a chunk only of
+// a loop it submitted itself, or while it is idle.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -25,16 +41,16 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const noexcept { return workers_.size() + 1; }
+  std::size_t size() const noexcept { return wake_.size() + 1; }
 
   /// Sets the calling thread's lane width for one scope: the most chunks
   /// any loop it submits is split into. 0 (the default) means size(); 1
-  /// runs every loop inline on the calling thread, without the submission
-  /// lock, so that thread never queues behind another submitter and may
-  /// run loops from inside a worker body. Loops whose result depends only
-  /// on fixed tile boundaries (GEMM, per-sample layers) give the same
-  /// bits at every width. The previous width is restored on scope exit,
-  /// also when the scope throws.
+  /// runs every loop inline on the calling thread. A chunk runs at the
+  /// lane width of the loop it belongs to, whichever thread claims it, so
+  /// a loop nested in a body splits the same way wherever the body runs.
+  /// Loops whose result depends only on fixed tile boundaries (GEMM,
+  /// per-sample layers) give the same bits at every width. The previous
+  /// width is restored on scope exit, also when the scope throws.
   class LaneWidth {
    public:
     explicit LaneWidth(std::size_t width) noexcept;
@@ -50,19 +66,16 @@ class ThreadPool {
   /// the lane width, capped at size().
   std::size_t lanes() const noexcept;
 
-  /// Run fn(begin..end) partitioned across lanes() threads of the pool
-  /// (including the calling thread). Blocks until every iteration has
-  /// completed. `fn` receives (index). Exceptions thrown by fn propagate
-  /// to the caller (first one). Safe to call from multiple threads at
-  /// once: concurrent loops are serialised on a submission lock (the pool
-  /// has one task slot), so a serving thread and a background retrain can
-  /// share the global pool — they interleave at per-loop granularity
-  /// rather than corrupting the task state. Do not nest parallel_for inside a worker body: the
-  /// submission lock is not reentrant.
+  /// Run fn(begin..end) in min(end - begin, lanes()) chunks, on the calling
+  /// thread and whichever workers are idle. Blocks until every iteration
+  /// has completed. `fn` receives (index). When chunks throw, every chunk
+  /// still runs and the lowest-indexed chunk's exception is rethrown, so
+  /// the error the caller sees never depends on timing. Safe to call from
+  /// several threads at once and from inside a body of this pool.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Chunked variant: fn(chunk_begin, chunk_end) per worker — lets the body
+  /// Chunked variant: fn(chunk_begin, chunk_end) per chunk — lets the body
   /// keep per-chunk scratch state without false sharing.
   void parallel_for_chunks(
       std::size_t begin, std::size_t end,
@@ -72,33 +85,34 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct Task {
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t chunks = 0;
+  /// One submitted loop. It lives on its submitter's stack; the mutex
+  /// guards its claim and completion state.
+  struct Loop;
+
+  void worker_loop(std::size_t id);
+  /// Claims the next chunk of `loop` (mutex held); drops the loop from the
+  /// open list once its last chunk is claimed.
+  std::size_t claim(Loop& loop) PRIONN_REQUIRES(mutex_);
+  /// Runs chunk `chunk_id` of `loop` on the calling thread at the loop's
+  /// lane width, recording an exception it throws.
+  void run_chunk(Loop& loop, std::size_t chunk_id);
+
+  /// A chunk a submitter handed to an idle worker as it woke it.
+  struct Handoff {
+    Loop* loop = nullptr;
+    std::size_t chunk = 0;
   };
 
-  void worker_loop(std::size_t worker_id);
-  /// Runs one chunk of `task` on the calling thread. Takes a *copy* of the
-  /// task descriptor made under the lock: the generation protocol
-  /// guarantees task_ is stable while any chunk runs, but handing each
-  /// runner its own copy makes that independence provable (and lets
-  /// thread-safety analysis keep task_ guarded).
-  void run_chunk(const Task& task, std::size_t chunk_id);
-
-  std::vector<std::thread> workers_;
-  /// Held for the whole duration of one parallel_for_chunks call: the
-  /// pool has a single task_ slot, so concurrent submitters take turns.
-  Mutex submit_mutex_;
+  /// Worker i is idle_[i] while it runs no chunk; it sleeps on wake_[i]
+  /// until handoffs_[i] holds a chunk or a loop is open.
+  std::vector<CondVar> wake_;
   Mutex mutex_;
-  CondVar cv_start_;
-  CondVar cv_done_;
-  Task task_ PRIONN_GUARDED_BY(mutex_);
-  std::size_t generation_ PRIONN_GUARDED_BY(mutex_) = 0;
-  std::size_t remaining_ PRIONN_GUARDED_BY(mutex_) = 0;
+  std::vector<bool> idle_ PRIONN_GUARDED_BY(mutex_);
+  std::vector<Handoff> handoffs_ PRIONN_GUARDED_BY(mutex_);
+  std::vector<std::thread> workers_;
+  /// Loops with unclaimed chunks, oldest first.
+  std::vector<Loop*> open_ PRIONN_GUARDED_BY(mutex_);
   bool stop_ PRIONN_GUARDED_BY(mutex_) = false;
-  std::exception_ptr first_error_ PRIONN_GUARDED_BY(mutex_);
 };
 
 /// Convenience wrapper over the global pool.

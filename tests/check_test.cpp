@@ -86,8 +86,9 @@ TEST(CheckTest, DisabledDcheckDoesNotEvaluateItsCondition) {
 // --- Thread-pool stress -----------------------------------------------
 //
 // The pool below is always created with more workers than this machine
-// may have cores so the signalling paths (generation bump, remaining_
-// countdown, cv handoff) are exercised with real contention under TSan.
+// may have cores so the signalling paths (publishing a loop, claiming its
+// chunks, the submitter's wait for helpers) are exercised with real
+// contention under TSan.
 
 TEST(ThreadPoolStressTest, EveryIndexVisitedExactlyOnceAcrossManyRounds) {
   ThreadPool pool(4);
@@ -151,6 +152,23 @@ TEST(ThreadPoolStressTest, WorkerExceptionPropagatesToCaller) {
     std::atomic<int> ok{0};
     pool.parallel_for(0, 8, [&](std::size_t) { ++ok; });
     EXPECT_EQ(ok.load(), 8);
+  }
+}
+
+// Which chunk throws first depends on timing; which error the caller sees
+// must not.
+TEST(ThreadPoolStressTest, LowestChunksErrorIsRethrown) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    try {
+      pool.parallel_for_chunks(0, 4, [](std::size_t lo, std::size_t) {
+        if (lo == 1) throw std::runtime_error("chunk 1");
+        if (lo == 3) throw std::runtime_error("chunk 3");
+      });
+      FAIL() << "no exception, round " << round;
+    } catch (const std::runtime_error& e) {
+      ASSERT_STREQ(e.what(), "chunk 1") << "round " << round;
+    }
   }
 }
 

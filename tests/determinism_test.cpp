@@ -321,9 +321,10 @@ TEST(ThreadCountIndependence, PredictorHeadsAtEveryLaneWidth) {
   }
 }
 
-// Heads narrow to one lane each only when they really run side by side: a
-// lone head (predict_io = false), or any head under a one-lane caller,
-// keeps the caller's lanes for its own GEMMs and per-sample loops.
+// Heads running side by side share the caller's lanes: each gets
+// ceil(lanes / heads) for its own GEMMs and per-sample loops. A lone head
+// (predict_io = false), or any head under a one-lane caller, keeps the
+// caller's lanes.
 TEST(ThreadCountIndependence, LoneHeadKeepsTheCallersLanes) {
   for (std::size_t width = 1; width <= ThreadPool::global().size();
        ++width) {
@@ -341,8 +342,7 @@ TEST(ThreadCountIndependence, LoneHeadKeepsTheCallersLanes) {
       head_lanes[h] = ThreadPool::global().lanes();
     });
     for (std::size_t h = 0; h < 3; ++h)
-      EXPECT_EQ(head_lanes[h], caller_lanes > 1 ? 1u : caller_lanes)
-          << "head " << h;
+      EXPECT_EQ(head_lanes[h], (caller_lanes + 2) / 3) << "head " << h;
     EXPECT_EQ(ThreadPool::global().lanes(), caller_lanes);
   }
 }

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/histogram.hpp"
@@ -237,6 +238,52 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   std::size_t total = 0;
   pool.parallel_for(0, 10, [&](std::size_t i) { total += i; });
   EXPECT_EQ(total, 45u);
+}
+
+// A loop submitted from inside a body runs to completion: its submitter
+// claims whatever no idle worker took.
+TEST(ThreadPool, NestedLoopsFromWorkerBodies) {
+  u::ThreadPool pool(4);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 37;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<int> visits(kOuter * kInner, 0);
+    pool.parallel_for(0, kOuter, [&](std::size_t o) {
+      pool.parallel_for(0, kInner,
+                        [&](std::size_t i) { ++visits[o * kInner + i]; });
+    });
+    for (std::size_t i = 0; i < visits.size(); ++i)
+      ASSERT_EQ(visits[i], 1) << "index " << i << " round " << round;
+  }
+}
+
+TEST(ThreadPool, ConcurrentSubmittersEachGetExactCoverage) {
+  u::ThreadPool pool(4);
+  constexpr std::size_t kItems = 97;
+  constexpr int kRounds = 50;
+  std::vector<std::vector<int>> visits(3, std::vector<int>(kItems, 0));
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < 3; ++t)
+    submitters.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round)
+        pool.parallel_for(0, kItems, [&](std::size_t i) { ++visits[t][i]; });
+    });
+  for (auto& s : submitters) s.join();
+  for (std::size_t t = 0; t < 3; ++t)
+    for (std::size_t i = 0; i < kItems; ++i)
+      EXPECT_EQ(visits[t][i], kRounds) << "submitter " << t << " index " << i;
+}
+
+// Every chunk, on whichever thread claims it, runs at its loop's lane
+// width, so a nested loop splits the same way wherever its body runs.
+TEST(ThreadPool, ChunksRunAtTheirLoopsLaneWidth) {
+  u::ThreadPool pool(4);
+  const u::ThreadPool::LaneWidth lanes(2);
+  std::vector<std::size_t> seen(8, 0);
+  pool.parallel_for(0, seen.size(),
+                    [&](std::size_t i) { seen[i] = pool.lanes(); });
+  for (const std::size_t width : seen) EXPECT_EQ(width, 2u);
+  EXPECT_EQ(pool.lanes(), 2u);
 }
 
 TEST(ThreadPool, GlobalPoolWorks) {
